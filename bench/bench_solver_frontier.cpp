@@ -1,13 +1,13 @@
-// bench_solver_frontier — CI smoke for the three solver-frontier features
-// (mixed-precision PCG, sliced-ELL SpMV backend, Eisenstat SSOR) on two
-// zoo models, in both engine modes. Gates, reflected in the exit status:
+// bench_solver_frontier — CI smoke for the two solver-frontier features
+// (mixed-precision PCG, sliced-ELL SpMV backend) on two zoo models, in both
+// engine modes. Gates, reflected in the exit status:
 //
 //   * strict fp64 identity: the default config and an explicitly-spelled
 //     strict config (Fp64 + HSBCSR) produce bit-identical trajectories, at
 //     any solver team size — the frontier knobs at their defaults are the
 //     pre-frontier solver;
 //   * per-knob determinism: each frontier config is itself bitwise
-//     thread-count invariant (1 vs 4 solver threads);
+//     thread-count invariant (1 vs 4 step threads);
 //   * convergence: every frontier config completes the run with zero
 //     failed PCG solves, and mixed precision keeps its fp64 refinement
 //     pass count per solve under kRefineCeiling.
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i)
         if (!std::strcmp(argv[i], "--force")) bench::force_report_overwrite() = true;
 
-    bench::header("solver frontier smoke — mixed precision / sliced ELL / Eisenstat");
+    bench::header("solver frontier smoke — mixed precision / sliced ELL");
 
     const char* models[] = {"column", "slope"};
     int failures = 0;
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
             core::SimConfig strict_cfg;
             strict_cfg.pcg.precision = solver::PcgPrecision::Fp64;
             strict_cfg.spmv_backend = core::SpmvBackend::Hsbcsr;
-            strict_cfg.solver_threads = 4;
+            strict_cfg.step_threads = 4;
             const RunOutcome strict = run_model(model, mode, strict_cfg);
             const bool strict_ok = strict.fingerprint == base.fingerprint;
             if (!strict_ok) fail(tag + ": strict fp64 trajectory differs from default");
@@ -108,9 +108,9 @@ int main(int argc, char** argv) {
             // refinement, and is itself thread-count invariant.
             core::SimConfig mixed_cfg;
             mixed_cfg.pcg.precision = solver::PcgPrecision::MixedFp32;
-            mixed_cfg.solver_threads = 1;
+            mixed_cfg.step_threads = 1;
             const RunOutcome mixed1 = run_model(model, mode, mixed_cfg);
-            mixed_cfg.solver_threads = 4;
+            mixed_cfg.step_threads = 4;
             const RunOutcome mixed4 = run_model(model, mode, mixed_cfg);
             if (mixed1.pcg_failed) fail(tag + ": mixed precision left solves unconverged");
             if (mixed1.fingerprint != mixed4.fingerprint)
@@ -130,9 +130,9 @@ int main(int argc, char** argv) {
             // thread-count invariant under its own summation order.
             core::SimConfig sell_cfg;
             sell_cfg.spmv_backend = core::SpmvBackend::SlicedEll;
-            sell_cfg.solver_threads = 1;
+            sell_cfg.step_threads = 1;
             const RunOutcome sell1 = run_model(model, mode, sell_cfg);
-            sell_cfg.solver_threads = 4;
+            sell_cfg.step_threads = 4;
             const RunOutcome sell4 = run_model(model, mode, sell_cfg);
             if (sell1.pcg_failed) fail(tag + ": sliced-ELL backend left solves unconverged");
             if (sell1.fingerprint != sell4.fingerprint)
@@ -140,23 +140,10 @@ int main(int argc, char** argv) {
             rep.add(tag + "_sell_failed_solves", double(sell1.pcg_failed));
             rep.add(tag + "_sell_pcg_iters", double(sell1.pcg_iters));
 
-            // Eisenstat SSOR: converges, thread-count invariant.
-            core::SimConfig eis_cfg;
-            eis_cfg.precond = core::PrecondKind::SsorEisenstat;
-            eis_cfg.solver_threads = 1;
-            const RunOutcome eis1 = run_model(model, mode, eis_cfg);
-            eis_cfg.solver_threads = 4;
-            const RunOutcome eis4 = run_model(model, mode, eis_cfg);
-            if (eis1.pcg_failed) fail(tag + ": Eisenstat SSOR left solves unconverged");
-            if (eis1.fingerprint != eis4.fingerprint)
-                fail(tag + ": Eisenstat SSOR not thread-count invariant");
-            rep.add(tag + "_eisenstat_failed_solves", double(eis1.pcg_failed));
-            rep.add(tag + "_eisenstat_pcg_iters", double(eis1.pcg_iters));
-
             std::printf("%-14s strict %s | mixed refine/solve %.2f, fallbacks %lld | "
-                        "sell iters %lld | eisenstat iters %lld\n",
+                        "sell iters %lld\n",
                         tag.c_str(), strict_ok ? "OK" : "FAIL", refine_per_solve,
-                        mixed1.fallbacks, sell1.pcg_iters, eis1.pcg_iters);
+                        mixed1.fallbacks, sell1.pcg_iters);
         }
     }
 

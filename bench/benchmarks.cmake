@@ -16,7 +16,6 @@ gdda_bench(bench_table3_case2)
 gdda_bench(bench_class_divergence)
 gdda_bench(bench_broadphase)
 gdda_bench(bench_ablation_hsbcsr)
-gdda_bench(bench_future_multigpu)
 gdda_bench(bench_kernels)
 gdda_bench(bench_trace_overhead)
 gdda_bench(bench_metrics_overhead)

@@ -1,21 +1,28 @@
 // gdda run_model — the command-line driver: load a model (or a named
 // built-in generator), run the DDA pipeline with configurable options, emit
-// snapshots and checkpoints. The adoption-facing entry point of the library.
+// SVG snapshots and binary engine checkpoints (gdda::state). The
+// adoption-facing entry point of the library.
 //
 // Usage:
 //   run_model <model.txt | slope:N | rocks:N | tunnel | column:N>
 //             [--steps N] [--dt S] [--static|--dynamic]
-//             [--engine serial|gpu] [--precond bj|ssor|eisenstat|ilu|jacobi]
+//             [--engine serial|gpu] [--precond bj|ssor|ilu|jacobi]
 //             [--spmv hsbcsr|sell] [--precision fp64|mixed]
 //             [--exact-rotation]
 //             [--snapshot prefix] [--snapshot-every N]
 //             [--checkpoint-out file] [--checkpoint-in file]
 //             [--report-energy] [--telemetry file.jsonl] [--trace file.trace.json]
 //
+// --checkpoint-in resumes from a snapshot written by --checkpoint-out: the
+// block system comes from the snapshot (the model argument is not built),
+// the engine from the command line. A resume whose engine mode or
+// trajectory-affecting options differ from the checkpointed run's is
+// refused (exit 1); otherwise it continues bitwise-identically.
+//
 // Examples:
 //   run_model slope:400 --static --steps 800 --snapshot slope
 //   run_model tunnel --dynamic --steps 2000 --checkpoint-out tun.ckpt
-//   run_model tun.ckpt --checkpoint-in tun.ckpt --steps 2000
+//   run_model tunnel --dynamic --checkpoint-in tun.ckpt --steps 2000
 
 #include <cstdio>
 #include <cstring>
@@ -25,13 +32,13 @@
 #include "core/energy.hpp"
 #include "core/interpenetration.hpp"
 #include "core/simulation.hpp"
-#include "io/checkpoint.hpp"
 #include "io/model_io.hpp"
 #include "io/snapshot.hpp"
 #include "models/falling_rocks.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
 #include "models/tunnel.hpp"
+#include "state/snapshot.hpp"
 #include "trace/chrome_export.hpp"
 
 using namespace gdda;
@@ -53,7 +60,7 @@ int usage() {
     std::fprintf(stderr,
                  "usage: run_model <model.txt|slope:N|rocks:N|tunnel|column:N> [options]\n"
                  "  --steps N --dt S --static --dynamic --engine serial|gpu\n"
-                 "  --precond bj|ssor|eisenstat|ilu|jacobi --exact-rotation\n"
+                 "  --precond bj|ssor|ilu|jacobi --exact-rotation\n"
                  "  --spmv hsbcsr|sell --precision fp64|mixed\n"
                  "  --snapshot prefix --snapshot-every N\n"
                  "  --checkpoint-out file --checkpoint-in file --report-energy\n"
@@ -98,8 +105,6 @@ int main(int argc, char** argv) {
             if (std::strcmp(v, "bj") == 0) cfg.precond = core::PrecondKind::BlockJacobi;
             else if (std::strcmp(v, "ssor") == 0) cfg.precond = core::PrecondKind::SsorAi;
             else if (std::strcmp(v, "ilu") == 0) cfg.precond = core::PrecondKind::Ilu0;
-            else if (std::strcmp(v, "eisenstat") == 0)
-                cfg.precond = core::PrecondKind::SsorEisenstat;
             else if (std::strcmp(v, "jacobi") == 0) cfg.precond = core::PrecondKind::Jacobi;
             else return usage();
         } else if (a == "--spmv") {
@@ -148,10 +153,13 @@ int main(int argc, char** argv) {
         block::BlockSystem sys_storage;
         std::optional<core::DdaEngine> engine;
         if (!ckpt_in.empty()) {
-            engine.emplace(
-                io::resume_engine(io::load_checkpoint_file(ckpt_in), sys_storage, cfg, mode));
-            std::printf("resumed from %s at t=%.4f s (%zu blocks)\n", ckpt_in.c_str(),
-                        engine->time(), sys_storage.size());
+            const state::EngineSnapshot snap = state::load_snapshot_file(ckpt_in);
+            sys_storage = snap.state.sys;
+            engine.emplace(sys_storage, cfg, mode);
+            state::restore_engine(*engine, snap);
+            std::printf("resumed from %s at step %d, t=%.4f s (%zu blocks)\n",
+                        ckpt_in.c_str(), engine->step_index(), engine->time(),
+                        sys_storage.size());
         } else {
             sys_storage = make_model(model_spec);
             engine.emplace(sys_storage, cfg, mode);
@@ -195,7 +203,7 @@ int main(int argc, char** argv) {
         }
 
         if (!ckpt_out.empty()) {
-            io::save_checkpoint_file(ckpt_out, *engine);
+            state::save_engine_file(ckpt_out, *engine);
             std::printf("checkpoint written to %s\n", ckpt_out.c_str());
         }
         if (const auto& rec = engine->recorder()) {

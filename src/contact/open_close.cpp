@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <numbers>
 
 #include "par/parallel_for.hpp"
@@ -156,13 +154,6 @@ OpenCloseResult update_contact_states(const block::BlockSystem& sys,
         // gaps are corner artifacts the closing gate already rejects.
         if (next != ContactState::Open && g.ratio > -0.01 && g.ratio < 1.01) {
             res.max_penetration = std::max(res.max_penetration, -dn);
-            if (-dn > 0.03 && next != ContactState::Open && std::getenv("GDDA_DEBUG_OC")) {
-                std::fprintf(stderr,
-                             "[oc] deep dn=%.4f gap0=%.4f ratio=%.3f shear0=%.4f kind=%d "
-                             "state %d->%d bi=%d vi=%d bj=%d e1=%d\n",
-                             dn, g.gap0, g.ratio, c.shear_disp, int(c.kind), int(old),
-                             int(next), c.bi, c.vi, c.bj, c.e1);
-            }
         }
     }
 

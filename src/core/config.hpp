@@ -11,7 +11,7 @@
 
 namespace gdda::core {
 
-enum class PrecondKind { Identity, Jacobi, BlockJacobi, SsorAi, SsorEisenstat, Ilu0 };
+enum class PrecondKind { Identity, Jacobi, BlockJacobi, SsorAi, Ilu0 };
 
 /// fp64 SpMV backend for the PCG solve (see docs/PERFORMANCE.md, "SpMV
 /// backends"). Backends are exact alternatives with their own fixed
@@ -99,30 +99,12 @@ struct SimConfig {
     /// never answers (docs/PERFORMANCE.md, "CPU execution backend").
     int step_threads = 0;
 
-    /// Deprecated alias for step_threads, kept so existing configs and
-    /// snapshots keep working. The historical name predates PR 10, when
-    /// only the solve chain was parallel; the knob has been step-wide ever
-    /// since. Read through effective_step_threads(): step_threads wins when
-    /// both are set.
-    int solver_threads = 0;
-
-    /// The step-wide team actually requested: step_threads unless it is 0,
-    /// else the deprecated solver_threads alias.
-    [[nodiscard]] int effective_step_threads() const {
-        return step_threads > 0 ? step_threads : solver_threads;
-    }
-
     /// Structure-caching solve path: when the contact-set fingerprint is
     /// unchanged between solve passes, reuse the cached assembly plan,
     /// HSBCSR index arrays, and preconditioner symbolic pattern, redoing
     /// only numerics. Warm passes are bitwise identical to cold ones; off
     /// forces the cold path every pass (debugging / A-B comparison).
     bool reuse_structure = true;
-
-    /// Warm-start each open-close re-solve from the previous pass's solution
-    /// instead of the last committed step's. Applied independently of
-    /// reuse_structure so structural caching stays bitwise comparable.
-    bool warm_start_across_passes = true;
 
     /// Periodic checkpointing (the gdda::state subsystem): when > 0, a
     /// scheduler job with a checkpoint path snapshots its engine every N

@@ -136,13 +136,6 @@ public:
         metrics_ = std::move(obs);
     }
 
-    /// Restore mid-run state (checkpoint resume): simulated time, current
-    /// dt, the live contact set, and the PCG warm start. The block system
-    /// itself is restored by constructing the engine on the checkpointed
-    /// BlockSystem.
-    void restore(double time, double dt, std::vector<contact::Contact> contacts,
-                 sparse::BlockVec warm_start);
-
     /// Deep-copy the complete mid-run state. The capture is observer-only:
     /// stepping after capture() is bitwise-identical to never capturing.
     [[nodiscard]] EngineCheckpoint capture() const;
@@ -153,16 +146,20 @@ public:
     /// broad-phase pair cache are invalidated — warm is bitwise-identical to
     /// cold for both (see docs/PERFORMANCE.md and docs/CONTACTS.md), so
     /// stepping after restore() is bitwise-identical to never having paused.
+    /// A warm start whose size differs from the block count is replaced by
+    /// zeros.
     void restore(const EngineCheckpoint& snap);
 
 private:
     StepStats step_impl();
     void detect_contacts();
+    /// Contact geometry for the current block state, timed and costed as
+    /// part of Contact Detection.
+    std::vector<contact::ContactGeometry> init_contacts();
     /// One assemble+solve+update pass; returns open-close state changes.
     /// `fresh_pass` marks the first pass of a displacement attempt: it
     /// resets the PCG start vector to the last committed step's solution,
-    /// later open-close passes iterate from the previous pass's (see
-    /// SimConfig::warm_start_across_passes).
+    /// later open-close passes iterate from the previous pass's.
     int solve_pass(const std::vector<contact::ContactGeometry>& geo,
                    sparse::BlockVec& d, StepStats& stats, bool fresh_pass);
     double max_vertex_displacement(const sparse::BlockVec& d) const;

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 
 #include "core/energy.hpp"
@@ -47,8 +45,6 @@ void SimConfig::validate() const {
         throw std::invalid_argument("SimConfig: pcg.refine_min_progress must be in (0, 1)");
     if (step_threads < 0)
         throw std::invalid_argument("SimConfig: step_threads must be >= 0");
-    if (solver_threads < 0)
-        throw std::invalid_argument("SimConfig: solver_threads must be >= 0");
     if (checkpoint_interval < 0)
         throw std::invalid_argument("SimConfig: checkpoint_interval must be >= 0");
     if (broad_phase_cell < 0.0)
@@ -87,8 +83,7 @@ obs::JsonValue config_to_json(const SimConfig& cfg) {
     j.set("penalty_scale", obs::JsonValue::number(cfg.penalty_scale));
     j.set("max_open_close_iters", obs::JsonValue::integer(cfg.max_open_close_iters));
     j.set("max_step_retries", obs::JsonValue::integer(cfg.max_step_retries));
-    j.set("step_threads", obs::JsonValue::integer(cfg.effective_step_threads()));
-    j.set("solver_threads", obs::JsonValue::integer(cfg.solver_threads));
+    j.set("step_threads", obs::JsonValue::integer(cfg.step_threads));
     j.set("precond", obs::JsonValue::integer(static_cast<int>(cfg.precond)));
     j.set("exact_rotation", obs::JsonValue::boolean(cfg.exact_rotation));
     j.set("reuse_structure", obs::JsonValue::boolean(cfg.reuse_structure));
@@ -192,6 +187,15 @@ void DdaEngine::detect_contacts() {
     if (sink) ledgers_.add(Module::ContactDetection, cost);
 }
 
+std::vector<ContactGeometry> DdaEngine::init_contacts() {
+    ScopedTimer t(timers_, Module::ContactDetection, tracer_.get(), &par_timers_);
+    simt::KernelCost cost = simt::KernelCost::accumulator();
+    simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
+    std::vector<ContactGeometry> geo = contact::init_all_contacts(*sys_, contacts_, sink);
+    if (sink) ledgers_.add(Module::ContactDetection, cost);
+    return geo;
+}
+
 int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
                           StepStats& stats, bool fresh_pass) {
     trace::Span oc_span(tracer_.get(), trace::Category::OpenClose, "open_close");
@@ -253,20 +257,15 @@ int DdaEngine::solve_pass(const std::vector<ContactGeometry>& geo, BlockVec& d,
         simt::KernelCost cost = simt::KernelCost::accumulator();
         simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
 
-        // The Eisenstat path never multiplies with A, so skip building the
-        // sliced-ELL view under it; the mixed fp32 shadow is likewise only
-        // built when the precision knob asks for it.
-        const bool mixed = cfg_.pcg.precision == solver::PcgPrecision::MixedFp32 &&
-                           cfg_.precond != PrecondKind::SsorEisenstat;
-        const SpmvBackend backend = cfg_.precond == PrecondKind::SsorEisenstat
-                                        ? SpmvBackend::Hsbcsr
-                                        : cfg_.spmv_backend;
-        ws_.prepare_solve(cfg_.precond, backend, mixed, sink);
+        // The mixed fp32 shadow is only built when the precision knob asks
+        // for it.
+        const bool mixed = cfg_.pcg.precision == solver::PcgPrecision::MixedFp32;
+        ws_.prepare_solve(cfg_.precond, cfg_.spmv_backend, mixed, sink);
 
         // First pass of an attempt starts PCG from the last committed
         // step's solution; later open-close passes continue from the
-        // previous pass's solution (unless disabled), which is closer.
-        if (fresh_pass || !cfg_.warm_start_across_passes) d = warm_start_;
+        // previous pass's solution, which is closer.
+        if (fresh_pass) d = warm_start_;
         solver::PcgOptions popts = cfg_.pcg;
         std::vector<double> residuals;
         if (recorder_ && recorder_->record_pcg_residuals) popts.residual_log = &residuals;
@@ -355,16 +354,6 @@ void DdaEngine::commit_step(const std::vector<ContactGeometry>& geo, const Block
     }
 }
 
-void DdaEngine::restore(double time, double dt, std::vector<Contact> contacts,
-                        BlockVec warm_start) {
-    time_ = time;
-    dt_ = std::clamp(dt, cfg_.dt_min, cfg_.dt_max);
-    contacts_ = std::move(contacts);
-    if (warm_start.size() == sys_->size()) warm_start_ = std::move(warm_start);
-    ws_.invalidate();
-    pair_cache_.invalidate();
-}
-
 EngineCheckpoint DdaEngine::capture() const {
     EngineCheckpoint snap;
     snap.sys = *sys_;
@@ -414,14 +403,7 @@ StepStats DdaEngine::step_impl() {
         // diagonal physics is stale (the contact structure may still hold).
         ++values_epoch_;
 
-        std::vector<ContactGeometry> geo;
-        {
-            ScopedTimer t(timers_, Module::ContactDetection, tracer_.get(), &par_timers_);
-            simt::KernelCost cost = simt::KernelCost::accumulator();
-            simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
-            geo = contact::init_all_contacts(*sys_, contacts_, sink);
-            if (sink) ledgers_.add(Module::ContactDetection, cost);
-        }
+        const std::vector<ContactGeometry> geo = init_contacts();
 
         // Pre-existing stored penetration (carried by closed contacts from
         // previous steps): the step may not worsen it, but it is not a
@@ -442,9 +424,6 @@ StepStats DdaEngine::step_impl() {
         int last_changes = 0;
         for (; oc_iters < cfg_.max_open_close_iters; ++oc_iters) {
             last_changes = solve_pass(geo, d, stats, oc_iters == 0);
-            if (std::getenv("GDDA_DEBUG_STEP"))
-                std::fprintf(stderr, "[gdda]   oc pass %d: changes=%d pen=%.3e\n",
-                             oc_iters, last_changes, stats.max_penetration);
             if (!stats.converged) break; // PCG exhausted: shrink dt
             if (last_changes == 0) {
                 oc_converged = true;
@@ -484,13 +463,6 @@ StepStats DdaEngine::step_impl() {
             return stats;
         }
 
-        if (std::getenv("GDDA_DEBUG_STEP")) {
-            std::fprintf(stderr,
-                         "[gdda] step retry %d: oc_converged=%d pcg_ok=%d disp_ok=%d "
-                         "pen_ok=%d (maxd=%.3e pen=%.3e) dt=%.3e\n",
-                         attempt, int(oc_converged), int(stats.converged), int(disp_ok),
-                         int(pen_ok), maxd, stats.max_penetration, dt_);
-        }
         // Failure: shrink the physical time and retry the whole step.
         dt_ = std::max(dt_ * cfg_.dt_shrink, cfg_.dt_min);
         contacts_ = contacts_at_entry;
@@ -502,7 +474,7 @@ StepStats DdaEngine::step_impl() {
     stats.converged = false;
     stats.dt_used = dt_;
     trace::Span pass_span(tracer_.get(), trace::Category::Pass, "displacement_pass_last_resort");
-    std::vector<ContactGeometry> geo = contact::init_all_contacts(*sys_, contacts_);
+    const std::vector<ContactGeometry> geo = init_contacts();
     BlockVec d(sys_->size());
     ++values_epoch_;
     solve_pass(geo, d, stats, true);
@@ -546,7 +518,7 @@ StepStats DdaEngine::step() {
     // assembly refill, SpMV stages, BLAS-1, fused PCG passes) sizes its
     // teams from the thread budget, and the budget is thread-local so
     // concurrent engines on scheduler workers never see each other's knobs.
-    par::ScopedTeamSize step_team(cfg_.effective_step_threads());
+    par::ScopedTeamSize step_team(cfg_.step_threads);
     trace::Span step_span(tracer_.get(), trace::Category::Step, "step");
     if (!recorder_ && !metrics_) {
         ++step_index_;

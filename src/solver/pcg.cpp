@@ -123,13 +123,7 @@ PcgResult pcg_fp64(const PcgMatrix& a, const BlockVec& b, BlockVec& x, const Pre
         return res;
     }
 
-    double rz;
-    if (opts.fused) {
-        rz = m.apply_dot(r, z, cost);
-    } else {
-        m.apply(r, z, cost);
-        rz = sparse::dot(r, z);
-    }
+    double rz = m.apply_dot(r, z, cost);
     p = z;
 
     double rnorm = sparse::norm(r);
@@ -144,98 +138,15 @@ PcgResult pcg_fp64(const PcgMatrix& a, const BlockVec& b, BlockVec& x, const Pre
         const double pap = sparse::dot(p, ap);
         if (pap <= 0.0) break; // matrix lost positive definiteness
         const double alpha = rz / pap;
-        double rz_new;
-        if (opts.fused) {
-            rnorm = std::sqrt(fused_xr_update(alpha, p, ap, x, r));
-            rz_new = m.apply_dot(r, z, cost);
-        } else {
-            sparse::axpy(alpha, p, x);
-            sparse::axpy(-alpha, ap, r);
-            m.apply(r, z, cost);
-            rz_new = sparse::dot(r, z);
-            rnorm = sparse::norm(r);
-        }
+        rnorm = std::sqrt(fused_xr_update(alpha, p, ap, x, r));
+        const double rz_new = m.apply_dot(r, z, cost);
         const double beta = rz_new / rz;
         rz = rz_new;
         sparse::xpay(z, beta, p);
         if (opts.residual_log) opts.residual_log->push_back(rnorm / bnorm);
         ++res.iterations;
-        if (cost) simt::record_kernel(cost, blas1_iteration_cost(a.h->n * 6ull, opts.fused));
+        if (cost) simt::record_kernel(cost, blas1_iteration_cost(a.h->n * 6ull));
     }
-    res.final_residual = rnorm / bnorm;
-    res.converged = res.converged || rnorm / bnorm < opts.rel_tol;
-    return res;
-}
-
-/// Hat-space CG via the Eisenstat operations: the preconditioner is baked
-/// into the operator, so the loop is plain CG (z == r) with hat_apply in
-/// place of the SpMV. Stopping tests the hat-space (SSOR-preconditioned)
-/// residual against |bhat|.
-PcgResult pcg_eisenstat(const PcgMatrix& a, const BlockVec& b, BlockVec& x,
-                        const EisenstatOps& ops, const PcgOptions& opts,
-                        simt::KernelCost* cost, PcgWorkspace& w) {
-    const int n = a.h->n;
-    w.r.resize(n);
-    w.p.resize(n);
-    w.ap.resize(n);
-    w.hatb.resize(n);
-    w.hatx.resize(n);
-    BlockVec& r = w.r;
-    BlockVec& p = w.p;
-    BlockVec& ap = w.ap;
-
-    ops.hat_rhs(b, w.hatb, cost);
-    const double bnorm = sparse::norm(w.hatb);
-    PcgResult res;
-    if (bnorm == 0.0) {
-        sparse::fill_zero(x);
-        res.converged = true;
-        if (opts.residual_log) opts.residual_log->push_back(0.0);
-        return res;
-    }
-
-    if (is_exactly_zero(x)) {
-        sparse::fill_zero(w.hatx);
-        r = w.hatb;
-        if (cost) simt::record_skipped_kernel(cost, "eisenstat_hat_apply");
-    } else {
-        ops.hat_warm_start(x, w.hatx, cost);
-        ops.hat_apply(w.hatx, ap, cost);
-        for (int i = 0; i < n; ++i) r[i] = w.hatb[i] - ap[i];
-    }
-
-    double rz = sparse::dot(r, r);
-    double rnorm = std::sqrt(rz);
-    p = r;
-    if (opts.residual_log) opts.residual_log->push_back(rnorm / bnorm);
-    for (int it = 0; it < opts.max_iters; ++it) {
-        if (rnorm / bnorm < opts.rel_tol || rnorm < opts.abs_tol) {
-            res.converged = true;
-            break;
-        }
-        trace::Span iter_span(opts.tracer, trace::Category::PcgIteration, "pcg_iteration");
-        ops.hat_apply(p, ap, cost);
-        const double pap = sparse::dot(p, ap);
-        if (pap <= 0.0) break;
-        const double alpha = rz / pap;
-        double rz_new;
-        if (opts.fused) {
-            rz_new = fused_xr_update(alpha, p, ap, w.hatx, r);
-            rnorm = std::sqrt(rz_new);
-        } else {
-            sparse::axpy(alpha, p, w.hatx);
-            sparse::axpy(-alpha, ap, r);
-            rz_new = sparse::dot(r, r);
-            rnorm = std::sqrt(rz_new);
-        }
-        const double beta = rz_new / rz;
-        rz = rz_new;
-        sparse::xpay(r, beta, p);
-        if (opts.residual_log) opts.residual_log->push_back(rnorm / bnorm);
-        ++res.iterations;
-        if (cost) simt::record_kernel(cost, blas1_iteration_cost(a.h->n * 6ull, opts.fused));
-    }
-    ops.unhat_solution(w.hatx, x, cost);
     res.final_residual = rnorm / bnorm;
     res.converged = res.converged || rnorm / bnorm < opts.rel_tol;
     return res;
@@ -355,7 +266,7 @@ PcgResult pcg_mixed(const PcgMatrix& a, const BlockVec& b, BlockVec& x, const Pr
         demote_scaled_blocks(r, 1.0 / rnorm, w.r32);
         if (cost) simt::record_kernel(cost, precision_transfer_cost(w.r32.size()));
         res.fp32_iterations += inner_solve_f32(a, opts, cost, w);
-        w.hatx = x; // snapshot: a diverging pass must not poison the iterate
+        w.x_saved = x; // snapshot: a diverging pass must not poison the iterate
         promote_axpy_blocks(rnorm, w.x32, x);
         if (cost) simt::record_kernel(cost, precision_transfer_cost(w.x32.size()));
         ++res.refine_iterations;
@@ -370,7 +281,7 @@ PcgResult pcg_mixed(const PcgMatrix& a, const BlockVec& b, BlockVec& x, const Pr
         } else if (!(rnew <= opts.refine_min_progress * rnorm)) {
             stagnated = true;
             if (!(rnew < rnorm)) {
-                x = w.hatx; // the pass made things worse (or NaN): undo it
+                x = w.x_saved; // the pass made things worse (or NaN): undo it
             } else {
                 rnorm = rnew;
             }
@@ -403,8 +314,6 @@ PcgResult pcg(const PcgMatrix& a, const BlockVec& b, BlockVec& x, const Precondi
     assert(a.h != nullptr);
     PcgWorkspace local;
     PcgWorkspace& w = caller_ws ? *caller_ws : local;
-    if (const EisenstatOps* ops = m.eisenstat())
-        return pcg_eisenstat(a, b, x, *ops, opts, cost, w);
     if (opts.precision == PcgPrecision::MixedFp32 && a.h32 != nullptr)
         return pcg_mixed(a, b, x, m, opts, cost, w);
     return pcg_fp64(a, b, x, m, opts, cost, w);

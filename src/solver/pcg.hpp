@@ -1,12 +1,11 @@
 #pragma once
 // Preconditioned conjugate gradient solver over the block system K d = F.
-// The matrix is consumed in HSBCSR form (the GPU-resident format). In the
-// default fused form an iteration is one SpMV, one preconditioner apply that
-// also yields dot(r,z), and three BLAS-1 kernels (dot(p,ap) | fused x,r
-// update producing r.r | xpay) — about 3 full-vector memory passes where the
-// textbook formulation needs ~7. The unfused form (PcgOptions::fused=false)
-// keeps the five separate BLAS-1 kernels; both produce bit-identical
-// results, and both are accounted into the analytic GPU trace on request.
+// The matrix is consumed in HSBCSR form (the GPU-resident format). An
+// iteration is one SpMV, one preconditioner apply that also yields dot(r,z),
+// and three fused BLAS-1 kernels (dot(p,ap) | x,r update producing r.r |
+// xpay) — about 3 full-vector memory passes where the textbook formulation
+// needs ~7. The fused kernels are bit-identical to the textbook five, and
+// are accounted into the analytic GPU trace on request.
 //
 // Solver-frontier variants, each individually selectable and each holding
 // the repo's determinism contract (any thread count -> identical bits):
@@ -21,12 +20,9 @@
 //    solve, fp64 accumulation. When an outer pass fails to shrink the
 //    residual by refine_min_progress the solver falls back to strict fp64
 //    from the current iterate (PcgResult::fell_back_fp64).
-//  * Eisenstat SSOR — when the preconditioner exposes EisenstatOps, CG runs
-//    on the congruent hat-space system where the preconditioned SpMV and the
-//    SSOR triangular solves share their work (no SpMV with A at all).
 //
-// Strict fp64 + HSBCSR backend + non-Eisenstat preconditioner reproduces the
-// pre-frontier solver bit for bit.
+// Strict fp64 + HSBCSR backend reproduces the pre-frontier solver bit for
+// bit.
 //
 // DDA-specific behavior from the paper:
 //  * the previous step's solution warm-starts the iteration (section IV.A),
@@ -68,15 +64,11 @@ struct PcgOptions {
     /// When set, the relative residual |r|/|b| is appended once on entry and
     /// once per iteration — the convergence curve telemetry records. The
     /// mixed path logs one entry per *outer* refinement pass (true fp64
-    /// residual); the Eisenstat path logs the hat-space residual.
+    /// residual).
     std::vector<double>* residual_log = nullptr;
     /// When set, each PCG iteration runs inside a trace::Span (category
     /// pcg_iteration). Engines wire this from TraceConfig::pcg_iteration_spans.
     trace::Tracer* tracer = nullptr;
-    /// Fused kernels (see header comment). Off reproduces the textbook
-    /// five-kernel BLAS-1 layout; results are bit-identical either way, only
-    /// the pass count and the SIMT cost accounting differ.
-    bool fused = true;
 
     // Mixed-precision refinement knobs (PcgPrecision::MixedFp32 only).
     PcgPrecision precision = PcgPrecision::Fp64;
@@ -105,12 +97,12 @@ struct PcgResult {
 struct PcgWorkspace {
     sparse::BlockVec r, z, p, ap;
     sparse::HsbcsrWorkspace spmv;
-    // Eisenstat hat-space vectors.
-    sparse::BlockVec hatb, hatx;
     // Sliced-ELL backend flat views.
     std::vector<double> flat_x, flat_y;
-    // Mixed-precision fp32 inner-solve scratch.
+    // Mixed-precision fp32 inner-solve scratch, and the fp64 iterate saved
+    // before each refinement pass.
     std::vector<float> x32, r32, z32, p32, ap32, jac32;
+    sparse::BlockVec x_saved;
     sparse::HsbcsrF32Workspace spmv32;
 };
 

@@ -73,28 +73,21 @@ void promote_axpy(double alpha, const std::vector<float>& x, std::vector<double>
                       [&](std::size_t i) { y[i] += alpha * static_cast<double>(x[i]); });
 }
 
-simt::KernelCost blas1_iteration_cost(std::size_t dim, bool fused) {
+simt::KernelCost blas1_iteration_cost(std::size_t dim) {
+    // Fused layout (solver/pcg.cpp): dot(p,ap) | x,r update + r.r | xpay,
+    // with dot(r,z) riding the preconditioner-apply pass for free.
     simt::KernelCost kc;
     const double d = static_cast<double>(dim);
-    kc.flops = 2.0 * d * 5.0; // the arithmetic is the same fused or not
-    if (fused) {
-        // Fused layout (solver/pcg.cpp): dot(p,ap) | x,r update + r.r | xpay,
-        // with dot(r,z) riding the preconditioner-apply pass for free.
-        kc.name = "pcg_blas1_fused";
-        kc.bytes_coalesced = d * sizeof(double) * 8.0; // 2 + (4r/2w overlap) + 3
-        kc.depth = 2 * 12; // two tree reductions (p.ap and r.r)
-        kc.launches = 3;
-    } else {
-        kc.name = "pcg_blas1";
-        kc.bytes_coalesced = d * sizeof(double) * 12.0; // stream in/out per kernel
-        kc.depth = 2 * 12;
-        kc.launches = 5;
-    }
+    kc.name = "pcg_blas1_fused";
+    kc.flops = 2.0 * d * 5.0; // 3 axpy + 2 dot
+    kc.bytes_coalesced = d * sizeof(double) * 8.0; // 2 + (4r/2w overlap) + 3
+    kc.depth = 2 * 12; // two tree reductions (p.ap and r.r)
+    kc.launches = 3;
     return kc;
 }
 
 simt::KernelCost blas1_iteration_cost_f32(std::size_t dim) {
-    simt::KernelCost kc = blas1_iteration_cost(dim, /*fused=*/true);
+    simt::KernelCost kc = blas1_iteration_cost(dim);
     kc.name = "pcg_blas1_fused_f32";
     kc.bytes_coalesced /= 2.0; // fp32 streams at half the bytes
     return kc;

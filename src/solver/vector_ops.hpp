@@ -35,12 +35,11 @@ void promote(const std::vector<float>& src, std::vector<double>& dst);
 /// fp64 iterate, undoing the residual scaling via alpha.
 void promote_axpy(double alpha, const std::vector<float>& x, std::vector<double>& y);
 
-/// Cost of the BLAS-1 work of one PCG iteration on a system of `dim` scalars.
-/// Unfused: 3 axpy + 2 dot as five separate kernels (~12 dim memory passes).
-/// Fused (the default solve path): dot(p,ap) | x,r update producing r.r |
-/// xpay, with dot(r,z) folded into the preconditioner apply — 3 launches and
-/// ~8 dim memory passes.
-simt::KernelCost blas1_iteration_cost(std::size_t dim, bool fused = false);
+/// Cost of the fused BLAS-1 work of one PCG iteration on a system of `dim`
+/// scalars: dot(p,ap) | x,r update producing r.r | xpay, with dot(r,z)
+/// folded into the preconditioner apply — 3 launches and ~8 dim memory
+/// passes.
+simt::KernelCost blas1_iteration_cost(std::size_t dim);
 
 /// Fused BLAS-1 cost of one *fp32* inner PCG iteration: same launch/depth
 /// shape as the fused fp64 path, half the streamed bytes.

@@ -62,12 +62,6 @@ public:
     [[nodiscard]] Vec6 solve(const Vec6& b) const;
     [[nodiscard]] Mat6 inverse() const;
 
-    /// Unit lower-triangular factor L (diagonal is 1). Exposed so callers
-    /// can build split factors like the Eisenstat S = L * diag(sqrt(d)).
-    [[nodiscard]] const Mat6& lower() const { return l_; }
-    /// Pivot diagonal d of M = L diag(d) L^T.
-    [[nodiscard]] const std::array<double, 6>& diag() const { return d_; }
-
 private:
     Mat6 l_;               // unit lower triangle
     std::array<double, 6> d_{};

@@ -106,6 +106,16 @@ public:
                                 std::string("snapshot: implausible ") + what + " count");
         return n;
     }
+    /// One enum byte, rejected as Corrupt when it names no enumerator
+    /// (`last` is the highest one).
+    template <typename E>
+    E enumerator(E last, const char* what) {
+        const std::uint8_t v = u8();
+        if (v > static_cast<std::uint8_t>(last))
+            throw SnapshotError(SnapshotErrorCode::Corrupt,
+                                std::string("snapshot: invalid ") + what);
+        return static_cast<E>(v);
+    }
     [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
 private:
@@ -147,17 +157,12 @@ void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.u8(c.exact_rotation ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(c.precond));
     w.u8(static_cast<std::uint8_t>(c.spmv_backend));
-    // The step-wide team, resolved through the deprecated solver_threads
-    // alias: one i32 slot keeps the format stable, and the reader restores
-    // it into solver_threads, which effective_step_threads() falls back to.
-    w.i32(c.effective_step_threads());
+    w.i32(c.step_threads);
     w.u8(c.reuse_structure ? 1 : 0);
-    w.u8(c.warm_start_across_passes ? 1 : 0);
     w.i32(c.checkpoint_interval);
     w.i32(c.pcg.max_iters);
     w.f64(c.pcg.rel_tol);
     w.f64(c.pcg.abs_tol);
-    w.u8(c.pcg.fused ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(c.pcg.precision));
     w.i32(c.pcg.max_refine_iters);
     w.i32(c.pcg.inner_max_iters);
@@ -173,7 +178,7 @@ core::SimConfig read_config(ByteReader& r) {
     c.velocity_carry = r.f64();
     c.max_disp_ratio = r.f64();
     c.search_factor = r.f64();
-    c.broad_phase = static_cast<core::BroadPhase>(r.u8());
+    c.broad_phase = r.enumerator(core::BroadPhase::Hash, "broad phase");
     c.broad_phase_cell = r.f64();
     c.broad_phase_cache = r.u8() != 0;
     c.pair_cache_margin = r.f64();
@@ -186,17 +191,15 @@ core::SimConfig read_config(ByteReader& r) {
     c.dt_shrink = r.f64();
     c.dt_grow = r.f64();
     c.exact_rotation = r.u8() != 0;
-    c.precond = static_cast<core::PrecondKind>(r.u8());
-    c.spmv_backend = static_cast<core::SpmvBackend>(r.u8());
-    c.solver_threads = r.i32();
+    c.precond = r.enumerator(core::PrecondKind::Ilu0, "preconditioner");
+    c.spmv_backend = r.enumerator(core::SpmvBackend::SlicedEll, "SpMV backend");
+    c.step_threads = r.i32();
     c.reuse_structure = r.u8() != 0;
-    c.warm_start_across_passes = r.u8() != 0;
     c.checkpoint_interval = r.i32();
     c.pcg.max_iters = r.i32();
     c.pcg.rel_tol = r.f64();
     c.pcg.abs_tol = r.f64();
-    c.pcg.fused = r.u8() != 0;
-    c.pcg.precision = static_cast<solver::PcgPrecision>(r.u8());
+    c.pcg.precision = r.enumerator(solver::PcgPrecision::MixedFp32, "PCG precision");
     c.pcg.max_refine_iters = r.i32();
     c.pcg.inner_max_iters = r.i32();
     c.pcg.inner_rel_tol = r.f64();
@@ -336,21 +339,14 @@ std::vector<contact::Contact> read_contacts(ByteReader& r) {
     std::uint64_t n = r.count(1 + 5 * 4 + 2 + 4 * 8 + 2 * 4, "contact");
     std::vector<contact::Contact> contacts(n);
     for (contact::Contact& c : contacts) {
-        std::uint8_t kind = r.u8();
-        if (kind > 2)
-            throw SnapshotError(SnapshotErrorCode::Corrupt, "snapshot: invalid contact kind");
-        c.kind = static_cast<contact::ContactKind>(kind);
+        c.kind = r.enumerator(contact::ContactKind::VV2, "contact kind");
         c.bi = r.i32();
         c.vi = r.i32();
         c.bj = r.i32();
         c.e1 = r.i32();
         c.e2 = r.i32();
-        std::uint8_t st = r.u8();
-        std::uint8_t pst = r.u8();
-        if (st > 2 || pst > 2)
-            throw SnapshotError(SnapshotErrorCode::Corrupt, "snapshot: invalid contact state");
-        c.state = static_cast<contact::ContactState>(st);
-        c.prev_state = static_cast<contact::ContactState>(pst);
+        c.state = r.enumerator(contact::ContactState::Lock, "contact state");
+        c.prev_state = r.enumerator(contact::ContactState::Lock, "contact state");
         c.shear_disp = r.f64();
         c.slide_sign = r.f64();
         c.last_gap = r.f64();
@@ -432,8 +428,8 @@ const char* to_string(SnapshotErrorCode code) {
 std::uint64_t config_fingerprint(const core::SimConfig& c) {
     // Canonical buffer over the trajectory-affecting knobs only. Knobs with
     // proven bitwise-identity contracts (broad phase, classification,
-    // caches, threads, fused PCG) and observer-only knobs are excluded so a
-    // resume may freely retune them without voiding the contract.
+    // caches, threads) and observer-only knobs are excluded so a resume may
+    // freely retune them without voiding the contract.
     ByteWriter w;
     w.f64(c.dt);
     w.f64(c.dt_min);
@@ -451,7 +447,6 @@ std::uint64_t config_fingerprint(const core::SimConfig& c) {
     w.u8(c.exact_rotation ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(c.precond));
     w.u8(static_cast<std::uint8_t>(c.spmv_backend));
-    w.u8(c.warm_start_across_passes ? 1 : 0);
     w.i32(c.pcg.max_iters);
     w.f64(c.pcg.rel_tol);
     w.f64(c.pcg.abs_tol);
@@ -573,10 +568,12 @@ RawHeader read_raw_header(std::istream& in) {
     ByteReader pr(buf, 12);
     RawHeader raw;
     raw.header.version = pr.u32();
-    if (raw.header.version == 0 || raw.header.version > kSnapshotVersion)
+    // Each version has its own config layout, so a payload of any other
+    // version would be misread: refuse it before touching the payload.
+    if (raw.header.version != kSnapshotVersion)
         throw SnapshotError(SnapshotErrorCode::UnsupportedVersion,
                             "snapshot: schema version " + std::to_string(raw.header.version) +
-                                " not supported (reader max " +
+                                " not supported (reader reads version " +
                                 std::to_string(kSnapshotVersion) + ")");
     std::uint64_t sha_len = pr.u64();
     if (sha_len > 4096)

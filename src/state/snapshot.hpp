@@ -14,9 +14,9 @@
 // version, git sha, engine mode, step index, fingerprints) ahead of a
 // length-prefixed, checksummed payload. Every field is little-endian and
 // doubles travel as their raw 64 bits — no text round-trip, no precision
-// loss (the older text `io::checkpoint` only achieves ~1e-9 on resume).
-// Malformed input of any kind — wrong magic, future version, truncation,
-// bit corruption — is rejected with a typed SnapshotError, never UB.
+// loss. Malformed input of any kind — wrong magic, another version,
+// truncation, bit corruption, an out-of-range enum byte — is rejected with
+// a typed SnapshotError, never UB.
 
 #include <cstdint>
 #include <iosfwd>
@@ -27,9 +27,10 @@
 
 namespace gdda::state {
 
-/// On-disk schema version. Bump on any layout change; readers reject
-/// versions they do not understand with UnsupportedVersion.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// On-disk schema version. Bump on any layout change; the reader rejects
+/// every other version with UnsupportedVersion. Version 2 dropped the
+/// unfused-PCG and warm-start-policy bytes from the config block.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Leading file magic ("GDDASNAP", 8 bytes, no terminator on disk).
 inline constexpr char kSnapshotMagic[9] = "GDDASNAP";
@@ -37,7 +38,7 @@ inline constexpr char kSnapshotMagic[9] = "GDDASNAP";
 enum class SnapshotErrorCode : std::uint8_t {
     OpenFailed,         ///< file could not be opened / created
     BadMagic,           ///< not a gdda snapshot at all
-    UnsupportedVersion, ///< written by a newer (or unknown) schema
+    UnsupportedVersion, ///< written by another schema version
     Truncated,          ///< ran out of bytes mid-structure
     Corrupt,            ///< checksum/fingerprint mismatch or nonsense values
     Mismatch,           ///< snapshot does not fit the target engine
@@ -90,11 +91,11 @@ struct EngineSnapshot {
 
 /// FNV-1a over the trajectory-affecting subset of SimConfig: dt policy,
 /// displacement control, penalties, iteration limits, exact_rotation,
-/// preconditioner, SpMV backend, warm-start policy, and the PCG options
-/// (including the mixed-precision knobs). Deliberately EXCLUDES knobs with
-/// proven bitwise-identity contracts or observer-only roles: broad-phase
-/// backend/cell/cache, pair classification, solver_threads, reuse_structure,
-/// fused PCG, checkpoint_interval, telemetry/trace/metrics.
+/// preconditioner, SpMV backend, and the PCG options (including the
+/// mixed-precision knobs). Deliberately EXCLUDES knobs with proven
+/// bitwise-identity contracts or observer-only roles: broad-phase
+/// backend/cell/cache, pair classification, step_threads, reuse_structure,
+/// checkpoint_interval, telemetry/trace/metrics.
 [[nodiscard]] std::uint64_t config_fingerprint(const core::SimConfig& cfg);
 
 /// Capture a complete snapshot of a live engine (observer-only; the engine

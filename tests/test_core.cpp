@@ -113,16 +113,21 @@ TEST(Engine, DtClampedToConfiguredRange) {
     EXPECT_GE(eng.dt(), cfg.dt_min);
 }
 
-TEST(Engine, RestoreClampsAndApplies) {
+TEST(Engine, RestoreIgnoresWrongSizeWarmStart) {
     bl::BlockSystem sys = gdda::models::make_free_block(10.0);
-    co::SimConfig cfg;
-    co::DdaEngine eng(sys, cfg, co::EngineMode::Serial);
-    eng.restore(12.5, 1e9, {}, gdda::sparse::BlockVec(sys.size()));
+    co::DdaEngine eng(sys, co::SimConfig{}, co::EngineMode::Serial);
+    for (int i = 0; i < 3; ++i) eng.step();
+    co::EngineCheckpoint cp = eng.capture();
+    cp.time = 12.5;
+    // A warm start of the wrong size is replaced by zeros rather than crashing.
+    cp.warm_start = gdda::sparse::BlockVec(99);
+    eng.restore(cp);
     EXPECT_DOUBLE_EQ(eng.time(), 12.5);
-    EXPECT_LE(eng.dt(), cfg.dt_max);
-    // A warm start of the wrong size is ignored rather than crashing.
-    eng.restore(1.0, cfg.dt, {}, gdda::sparse::BlockVec(99));
-    EXPECT_DOUBLE_EQ(eng.time(), 1.0);
+    ASSERT_EQ(eng.warm_start().size(), sys.size());
+    for (const gdda::sparse::Vec6& v : eng.warm_start())
+        for (int k = 0; k < 6; ++k) EXPECT_EQ(v[k], 0.0);
+    eng.step();
+    EXPECT_GT(eng.time(), 12.5);
 }
 
 TEST(Engine, ClassificationStatsExposed) {

@@ -1,5 +1,6 @@
 // Engine tests: single-step mechanics, time-step control, module timing,
-// and serial-vs-GPU pipeline trajectory equivalence.
+// serial-vs-GPU pipeline trajectory equivalence, and the exact-rotation
+// option.
 
 #include <gtest/gtest.h>
 
@@ -229,4 +230,52 @@ TEST(Engine, PointLoadPushesBlock) {
     co::DdaEngine eng2(sys2, cfg2, co::EngineMode::Serial);
     for (int i = 0; i < 300; ++i) eng2.step();
     EXPECT_GT(sys2.blocks[1].centroid.x, 0.05);
+}
+
+TEST(ExactRotation, PreservesAreaUnderSpin) {
+    // First-order rotation grows the area by (1 + r^2) per application; the
+    // exact operator keeps it constant.
+    const double r = 0.05;
+    bl::Block first;
+    first.verts = {{0, 0}, {1, 0}, {1, 1}, {0, 1}};
+    first.update_geometry();
+    bl::Block exact = first;
+    bl::Material mat;
+    gdda::sparse::Vec6 d;
+    d[2] = r;
+    for (int i = 0; i < 40; ++i) {
+        first.apply_increment(d, mat, /*exact_rotation=*/false);
+        exact.apply_increment(d, mat, /*exact_rotation=*/true);
+    }
+    EXPECT_NEAR(exact.area, 1.0, 1e-9);
+    EXPECT_GT(first.area, 1.05); // ~ (1+r^2)^40
+}
+
+TEST(ExactRotation, MatchesFirstOrderForSmallIncrements) {
+    bl::Block a;
+    a.verts = {{2, 3}, {3, 3}, {3, 4}, {2, 4}};
+    a.update_geometry();
+    bl::Block b = a;
+    bl::Material mat;
+    gdda::sparse::Vec6 d{{1e-4, -2e-4, 1e-5, 2e-6, -1e-6, 3e-6}};
+    a.apply_increment(d, mat, false);
+    b.apply_increment(d, mat, true);
+    for (std::size_t v = 0; v < a.verts.size(); ++v) {
+        EXPECT_NEAR(a.verts[v].x, b.verts[v].x, 1e-9);
+        EXPECT_NEAR(a.verts[v].y, b.verts[v].y, 1e-9);
+    }
+}
+
+TEST(ExactRotation, EngineOptionKeepsPhysics) {
+    auto run = [](bool exact) {
+        bl::BlockSystem sys = gdda::models::make_block_on_floor(0.05);
+        co::SimConfig cfg = quick_config();
+        cfg.exact_rotation = exact;
+        co::DdaEngine eng(sys, cfg, co::EngineMode::Serial);
+        for (int i = 0; i < 400; ++i) eng.step();
+        return sys.blocks[1].centroid;
+    };
+    const auto c_first = run(false);
+    const auto c_exact = run(true);
+    EXPECT_NEAR(gdda::geom::distance(c_first, c_exact), 0.0, 1e-3);
 }

@@ -231,8 +231,8 @@ TEST_P(PcgAllPreconds, Solves) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PcgAllPreconds, ::testing::Range(0, 8));
 
 // ---------------------------------------------------------------------------
-// Solver frontier: precision transfers, mixed-precision refinement, the
-// sliced-ELL backend view, and the Eisenstat SSOR preconditioner.
+// Solver frontier: precision transfers, mixed-precision refinement, and the
+// sliced-ELL backend view.
 
 namespace {
 
@@ -437,72 +437,4 @@ TEST(PcgSell, SlicedEllBackendSolvesIdenticallyWell) {
     for (int i = 0; i < 45; ++i)
         for (int k = 0; k < 6; ++k)
             EXPECT_NEAR(x_s[i][k], x_h[i][k], 1e-7 * (1.0 + std::abs(x_h[i][k])));
-}
-
-TEST(Eisenstat, ApplyMatchesExactSsorInverseSymmetry) {
-    // M^-1 must be symmetric: (M^-1 u) . w == u . (M^-1 w).
-    const sp::BsrMatrix a = random_spd_bsr(14, 18, 79);
-    const auto pre = sv::make_ssor_eisenstat(a);
-    EXPECT_NE(pre->eisenstat(), nullptr);
-    const sp::BlockVec u = random_block_vec(14, 1);
-    const sp::BlockVec w = random_block_vec(14, 2);
-    sp::BlockVec mu(14), mw(14);
-    pre->apply(u, mu);
-    pre->apply(w, mw);
-    EXPECT_NEAR(sp::dot(mu, w), sp::dot(u, mw), 1e-9 * (1.0 + std::abs(sp::dot(mu, w))));
-    for (unsigned seed = 0; seed < 3; ++seed) {
-        const sp::BlockVec r = random_block_vec(14, 90 + seed);
-        sp::BlockVec z(14);
-        pre->apply(r, z);
-        EXPECT_GT(sp::dot(r, z), 0.0) << "M^-1 must stay positive definite";
-    }
-}
-
-TEST(Eisenstat, HatSpaceCgSolvesTheOriginalSystem) {
-    for (unsigned seed : {81u, 82u}) {
-        const sp::BsrMatrix a = random_spd_bsr(40, 60, seed);
-        const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
-        const sp::BlockVec b = random_block_vec(40, seed + 10);
-        const auto pre = sv::make_ssor_eisenstat(a);
-        const sv::PcgOptions opts{.max_iters = 800, .rel_tol = 1e-10};
-
-        sp::BlockVec x(40);
-        const sv::PcgResult r = sv::pcg(strict_view(h), b, x, *pre, opts);
-        EXPECT_TRUE(r.converged) << "seed " << seed;
-        EXPECT_LT(residual_norm(a, x, b), 1e-7 * (1.0 + sp::norm(b))) << "seed " << seed;
-
-        // Warm start from the solution: the hat-space round trip
-        // (hat_warm_start then unhat) must keep it converged immediately.
-        sp::BlockVec warm = x;
-        const sv::PcgResult rw = sv::pcg(strict_view(h), b, warm, *pre, opts);
-        EXPECT_TRUE(rw.converged);
-        EXPECT_LE(rw.iterations, 2) << "seed " << seed;
-    }
-}
-
-TEST(Eisenstat, FewerIterationsThanBlockJacobi) {
-    // The point of SSOR: better spectrum than block-Jacobi on coupled
-    // systems (the paper's Table I ordering, now on the Eisenstat form).
-    const sp::BsrMatrix a = random_spd_bsr(60, 90, 83, /*coupling=*/0.8);
-    const sp::HsbcsrMatrix h = sp::hsbcsr_from_bsr(a);
-    const sp::BlockVec b = random_block_vec(60, 84);
-    const sv::PcgOptions opts{.max_iters = 2000, .rel_tol = 1e-10};
-
-    sp::BlockVec x_bj(60);
-    const auto bj = sv::make_block_jacobi(a);
-    const sv::PcgResult r_bj = sv::pcg(h, b, x_bj, *bj, opts);
-    ASSERT_TRUE(r_bj.converged);
-
-    sp::BlockVec x_e(60);
-    const auto eis = sv::make_ssor_eisenstat(a);
-    const sv::PcgResult r_e = sv::pcg(strict_view(h), b, x_e, *eis, opts);
-    ASSERT_TRUE(r_e.converged);
-    EXPECT_LE(r_e.iterations, r_bj.iterations);
-}
-
-TEST(Eisenstat, RejectsInvalidOmega) {
-    const sp::BsrMatrix a = random_spd_bsr(6, 6, 85);
-    EXPECT_THROW(sv::make_ssor_eisenstat(a, 0.0), std::invalid_argument);
-    EXPECT_THROW(sv::make_ssor_eisenstat(a, 2.0), std::invalid_argument);
-    EXPECT_NO_THROW(sv::make_ssor_eisenstat(a, 1.5));
 }

@@ -3,8 +3,8 @@
 // SpMV, PCG solve, and full engine trajectory produces the SAME bits for ANY
 // solver team size — 1, 2, 4, or 8 threads, oversubscribed or not — because
 // the summation order is a pure function of the problem size. Also covers
-// the thread-budget arbiter rules, the parallel_for grain fallthrough, the
-// fused-vs-unfused PCG identity, and the zero warm-start SpMV skip algebra.
+// the thread-budget arbiter rules, the parallel_for grain fallthrough, and
+// the zero warm-start SpMV skip algebra.
 
 #include <gtest/gtest.h>
 
@@ -240,15 +240,13 @@ struct PcgRun {
 };
 
 PcgRun run_pcg(const sparse::HsbcsrMatrix& h, const sparse::BlockVec& b,
-               const solver::Preconditioner& m, bool fused,
-               const sparse::BlockVec* warm = nullptr) {
+               const solver::Preconditioner& m) {
     PcgRun run;
-    run.x = warm ? *warm : sparse::BlockVec(h.n);
+    run.x = sparse::BlockVec(h.n);
     solver::PcgOptions opts;
     opts.max_iters = 400;
     opts.rel_tol = 1e-11;
     opts.residual_log = &run.residuals;
-    opts.fused = fused;
     const solver::PcgResult res = solver::pcg(h, b, run.x, m, opts);
     run.iterations = res.iterations;
     run.converged = res.converged;
@@ -275,12 +273,12 @@ TEST(PcgThreads, BitsInvariantAcrossTeamsAllPreconditioners) {
         PcgRun base;
         {
             par::ScopedTeamSize one(1);
-            base = run_pcg(h, b, *m, /*fused=*/true);
+            base = run_pcg(h, b, *m);
         }
         ASSERT_TRUE(base.converged) << m->name();
         for (int team : kTeams) {
             par::ScopedTeamSize scope(team);
-            const PcgRun run = run_pcg(h, b, *m, /*fused=*/true);
+            const PcgRun run = run_pcg(h, b, *m);
             EXPECT_EQ(base.iterations, run.iterations) << m->name() << " team " << team;
             expect_same_bits(base.x, run.x, m->name() + " x, team " + std::to_string(team));
             expect_same_bits(base.residuals, run.residuals,
@@ -299,32 +297,14 @@ TEST(PcgThreads, MultiChunkSystemBitsInvariantAcrossTeams) {
     PcgRun base;
     {
         par::ScopedTeamSize one(1);
-        base = run_pcg(h, b, *m, /*fused=*/true);
+        base = run_pcg(h, b, *m);
     }
     ASSERT_TRUE(base.converged);
     for (int team : {2, 8}) {
         par::ScopedTeamSize scope(team);
-        const PcgRun run = run_pcg(h, b, *m, /*fused=*/true);
+        const PcgRun run = run_pcg(h, b, *m);
         EXPECT_EQ(base.iterations, run.iterations) << "team " << team;
         expect_same_bits(base.x, run.x, "x, team " + std::to_string(team));
-    }
-}
-
-TEST(PcgThreads, FusedMatchesUnfusedBitwise) {
-    const sparse::BsrMatrix a = random_spd_bsr(300, 400, 31);
-    const sparse::HsbcsrMatrix h = sparse::hsbcsr_from_bsr(a);
-    const sparse::BlockVec b = random_block_vec(300, 32);
-    const sparse::BlockVec warm = random_block_vec(300, 33);
-    for (const auto& m : all_preconds(a)) {
-        for (const sparse::BlockVec* w : {static_cast<const sparse::BlockVec*>(nullptr), &warm}) {
-            const PcgRun fused = run_pcg(h, b, *m, /*fused=*/true, w);
-            const PcgRun plain = run_pcg(h, b, *m, /*fused=*/false, w);
-            ASSERT_TRUE(fused.converged) << m->name();
-            EXPECT_EQ(fused.iterations, plain.iterations) << m->name();
-            expect_same_bits(fused.x, plain.x, m->name() + " fused vs unfused x");
-            expect_same_bits(fused.residuals, plain.residuals,
-                             m->name() + " fused vs unfused residuals");
-        }
     }
 }
 
@@ -476,43 +456,6 @@ TEST(PcgThreads, SellBackendBitsInvariantAcrossTeams) {
     }
 }
 
-TEST(PcgThreads, EisenstatBitsInvariantAcrossTeams) {
-    const sparse::BsrMatrix a = random_spd_bsr(400, 600, 57);
-    const sparse::HsbcsrMatrix h = sparse::hsbcsr_from_bsr(a);
-    const sparse::BlockVec b = random_block_vec(400, 58);
-    const auto m = solver::make_ssor_eisenstat(a);
-
-    solver::PcgMatrix view;
-    view.h = &h;
-    solver::PcgOptions opts;
-    opts.max_iters = 800;
-    opts.rel_tol = 1e-10;
-
-    sparse::BlockVec x1(400);
-    solver::PcgResult r1;
-    {
-        par::ScopedTeamSize one(1);
-        r1 = solver::pcg(view, b, x1, *m, opts);
-    }
-    ASSERT_TRUE(r1.converged);
-    for (int team : kTeams) {
-        par::ScopedTeamSize scope(team);
-        sparse::BlockVec x(400);
-        const solver::PcgResult r = solver::pcg(view, b, x, *m, opts);
-        EXPECT_EQ(r1.iterations, r.iterations) << "team " << team;
-        expect_same_bits(x1, x, "eisenstat pcg x, team " + std::to_string(team));
-
-        // The exact-inverse apply must also be deterministic.
-        sparse::BlockVec z1(400), z(400);
-        {
-            par::ScopedTeamSize one(1);
-            m->apply(b, z1);
-        }
-        m->apply(b, z);
-        expect_same_bits(z1, z, "eisenstat apply, team " + std::to_string(team));
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Full pipeline
 
@@ -522,7 +465,7 @@ TEST(EngineThreads, TrajectoryBitsInvariantAcrossSolverThreads) {
         {
             block::BlockSystem sys = models::make_column(6);
             core::SimConfig cfg;
-            cfg.solver_threads = 0; // ambient
+            cfg.step_threads = 0; // ambient
             core::DdaEngine engine(sys, cfg, mode);
             for (int s = 0; s < 20; ++s) engine.step();
             baseline = sched::state_fingerprint(sys);
@@ -530,12 +473,12 @@ TEST(EngineThreads, TrajectoryBitsInvariantAcrossSolverThreads) {
         for (int threads : kTeams) {
             block::BlockSystem sys = models::make_column(6);
             core::SimConfig cfg;
-            cfg.solver_threads = threads;
+            cfg.step_threads = threads;
             core::DdaEngine engine(sys, cfg, mode);
             for (int s = 0; s < 20; ++s) engine.step();
             EXPECT_EQ(baseline, sched::state_fingerprint(sys))
                 << "mode " << (mode == core::EngineMode::Gpu ? "gpu" : "serial")
-                << " solver_threads " << threads;
+                << " step_threads " << threads;
         }
     }
 }
@@ -588,7 +531,6 @@ TEST(ManifestThreads, ThreadsKeyFlowsIntoSimConfig) {
     ASSERT_EQ(jobs.size(), 2u);
     // threads= now names the whole-step team (contact + assembly + solve).
     EXPECT_EQ(jobs[0].config.step_threads, 4);
-    EXPECT_EQ(jobs[0].config.effective_step_threads(), 4);
     EXPECT_EQ(jobs[1].config.step_threads, 0);
 
     std::istringstream bad("broken floor 3 threads=-2\n");

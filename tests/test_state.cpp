@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "models/falling_rocks.hpp"
 #include "models/slope.hpp"
@@ -82,6 +84,28 @@ std::string snapshot_bytes(const core::DdaEngine& engine) {
     std::ostringstream out(std::ios::binary);
     state::save_snapshot(out, state::capture(engine));
     return out.str();
+}
+
+/// Offset of the payload in snapshot bytes: magic(8) | version(4) | git sha
+/// (u64 length + bytes) | mode(1) | 8 fixed u64-sized header fields.
+std::size_t payload_offset(const std::string& bytes) {
+    std::uint64_t sha_len = 0;
+    for (int i = 0; i < 8; ++i)
+        sha_len |= std::uint64_t(static_cast<unsigned char>(bytes[12 + i])) << (8 * i);
+    return 8 + 4 + 8 + sha_len + 1 + 8 * 8;
+}
+
+/// Recompute the trailing FNV-1a payload checksum after tampering, so the
+/// reader gets past the checksum and has to judge the payload itself.
+void reseal(std::string& bytes) {
+    const std::size_t begin = payload_offset(bytes);
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::size_t i = begin; i + 8 < bytes.size(); ++i) {
+        h ^= static_cast<unsigned char>(bytes[i]);
+        h *= 1099511628211ull;
+    }
+    for (int i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + i] = static_cast<char>((h >> (8 * i)) & 0xff);
 }
 
 SnapshotErrorCode load_error_code(const std::string& bytes) {
@@ -185,8 +209,6 @@ TEST(Snapshot, PauseResumeHoldsForSolverFrontierKnobs) {
     mixed.pcg.precision = solver::PcgPrecision::MixedFp32;
     core::SimConfig sell;
     sell.spmv_backend = core::SpmvBackend::SlicedEll;
-    core::SimConfig eisenstat;
-    eisenstat.precond = core::PrecondKind::SsorEisenstat;
     core::SimConfig exact;
     exact.exact_rotation = true;
 
@@ -196,7 +218,6 @@ TEST(Snapshot, PauseResumeHoldsForSolverFrontierKnobs) {
     };
     const Named cfgs[] = {{"mixed_fp32", &mixed},
                           {"sliced_ell", &sell},
-                          {"ssor_eisenstat", &eisenstat},
                           {"exact_rotation", &exact}};
     constexpr int kSteps = 16;
     constexpr int kPause = 7; // odd split: resume mid-cadence, not on a boundary
@@ -262,6 +283,11 @@ TEST(Snapshot, MalformedInputsRejectedWithTypedCodes) {
     zeroed[8] = '\0';
     EXPECT_EQ(load_error_code(zeroed), SnapshotErrorCode::UnsupportedVersion);
 
+    // Version 1 had a different config layout; never misread it as v2.
+    std::string v1 = good;
+    v1[8] = '\x01';
+    EXPECT_EQ(load_error_code(v1), SnapshotErrorCode::UnsupportedVersion);
+
     // Truncations at every structural boundary.
     EXPECT_EQ(load_error_code(good.substr(0, 4)), SnapshotErrorCode::Truncated);
     EXPECT_EQ(load_error_code(good.substr(0, 10)), SnapshotErrorCode::Truncated);
@@ -277,6 +303,55 @@ TEST(Snapshot, MalformedInputsRejectedWithTypedCodes) {
     std::string badsum = good;
     badsum[good.size() - 1] ^= '\x01';
     EXPECT_EQ(load_error_code(badsum), SnapshotErrorCode::Corrupt);
+}
+
+TEST(Snapshot, OutOfRangeEnumByteIsCorrupt) {
+    // Each variant differs from the default config in exactly one enum
+    // byte of the payload. Captured before any step, the two payloads are
+    // otherwise identical, which locates the byte without hard-coding the
+    // layout. Patch it out of range, reseal the checksum, expect Corrupt.
+    block::BlockSystem base_sys = models::make_column(3);
+    const core::DdaEngine base_engine(base_sys, {}, core::EngineMode::Serial);
+    const std::string base = snapshot_bytes(base_engine);
+    const std::size_t begin = payload_offset(base);
+
+    core::SimConfig precond, backend, precision, broad;
+    precond.precond = core::PrecondKind::Ilu0;
+    backend.spmv_backend = core::SpmvBackend::SlicedEll;
+    precision.pcg.precision = solver::PcgPrecision::MixedFp32;
+    broad.broad_phase = core::BroadPhase::Hash;
+    const std::pair<const char*, const core::SimConfig*> variants[] = {
+        {"preconditioner", &precond},
+        {"SpMV backend", &backend},
+        {"PCG precision", &precision},
+        {"broad phase", &broad}};
+    for (const auto& [what, cfg] : variants) {
+        block::BlockSystem sys = models::make_column(3);
+        const core::DdaEngine engine(sys, *cfg, core::EngineMode::Serial);
+        const std::string other = snapshot_bytes(engine);
+        ASSERT_EQ(other.size(), base.size()) << what;
+        std::vector<std::size_t> diffs;
+        for (std::size_t i = begin; i + 8 < base.size(); ++i)
+            if (base[i] != other[i]) diffs.push_back(i);
+        ASSERT_EQ(diffs.size(), 1u) << what;
+
+        std::string patched = base;
+        patched[diffs[0]] = '\x7f';
+        reseal(patched);
+        std::istringstream in(patched, std::ios::binary);
+        try {
+            (void)state::load_snapshot(in);
+            ADD_FAILURE() << what << ": out-of-range byte accepted";
+        } catch (const SnapshotError& ex) {
+            EXPECT_EQ(ex.code(), SnapshotErrorCode::Corrupt) << what;
+            EXPECT_NE(std::string(ex.what()).find(what), std::string::npos) << ex.what();
+        }
+    }
+
+    // Resealing alone leaves a loadable snapshot.
+    std::string resealed = base;
+    reseal(resealed);
+    EXPECT_EQ(resealed, base);
 }
 
 TEST(Snapshot, EveryTruncationLengthIsTypedNotUB) {
@@ -335,7 +410,7 @@ TEST(Snapshot, ConfigFingerprintGatesTrajectoryKnobsOnly) {
     // even when they changed between runs).
     core::SimConfig observer = base;
     observer.checkpoint_interval = 17;
-    observer.solver_threads = 8;
+    observer.step_threads = 8;
     EXPECT_EQ(state::config_fingerprint(base), state::config_fingerprint(observer));
 
     block::BlockSystem sys = models::make_column(4);

@@ -287,6 +287,39 @@ TEST(Trace, GpuEngineKernelTotalsMatchCostLedgers) {
     EXPECT_GT(prof.step_wall_us(), 0.0);
 }
 
+TEST(Trace, LastResortPassIsTimedAndCosted) {
+    // dt starts at dt_min and PCG gets one iteration, so the only regular
+    // attempt fails and the step falls through to the last-resort pass.
+    // That pass's contact_init must be timed and costed as Contact
+    // Detection like every other pass's.
+    core::SimConfig cfg = traced_sim_cfg();
+    cfg.dt_min = cfg.dt;
+    cfg.pcg.max_iters = 1;
+    block::BlockSystem sys = models::make_slope_with_blocks(40);
+    core::DdaEngine eng(sys, cfg, core::EngineMode::Gpu);
+    const core::StepStats st = eng.step();
+    ASSERT_FALSE(st.converged) << "the step must take the last-resort pass";
+
+    const auto ev = eng.tracer()->snapshot();
+    const int passes = count_begins(ev, trace::Category::Pass);
+    EXPECT_EQ(passes, 2) << "one failed attempt plus the last-resort pass";
+    const int contact_module = static_cast<int>(core::Module::ContactDetection);
+    const auto inits = std::count_if(ev.begin(), ev.end(), [&](const trace::Event& e) {
+        return e.cat == trace::Category::Kernel && e.name == "contact_init" &&
+               e.module == contact_module;
+    });
+    EXPECT_EQ(inits, passes) << "one contact_init launch per pass, in Contact Detection";
+    const auto contact_spans = std::count_if(ev.begin(), ev.end(), [&](const trace::Event& e) {
+        return e.phase == trace::Phase::Begin && e.cat == trace::Category::Module &&
+               e.module == contact_module;
+    });
+    EXPECT_EQ(contact_spans, 1 + passes) << "detection plus one timed init per pass";
+
+    const trace::Profile prof = trace::Profile::from_tracer(*eng.tracer());
+    const simt::KernelCost ledger = eng.ledgers().ledger(core::Module::ContactDetection).total();
+    EXPECT_EQ(prof.module_cost(contact_module).launches, ledger.launches);
+}
+
 TEST(Trace, SerialAndGpuAgreeOnLoopSpanCounts) {
     // The two engines produce identical trajectories, so the loop-structure
     // spans (steps, passes, open-close iterations, solves, PCG iterations)
