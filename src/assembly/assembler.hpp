@@ -4,7 +4,6 @@
 // sort-and-scan segmented assembly of the paper's Fig. 4 and must produce a
 // bit-identical matrix (tests enforce this).
 
-#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -38,48 +37,15 @@ ContactFingerprint contact_fingerprint(int n, std::span<const Contact> contacts)
 /// iterations; copying the cached doubles is bitwise identical to
 /// recomputing them. The owner invalidates on every new attempt.
 ///
-/// The cache also memoizes per-contact contributions: within one attempt a
-/// contact's springs only change when the open-close machine flips its state
-/// or updates its spring bookkeeping, so most contacts re-emit the exact
-/// same sub-matrices pass after pass. Entry c is reusable when every input
-/// contact_contribution reads — the contact's solver-visible fields and its
-/// geometry — is bit-identical to the snapshot, which makes the copied
-/// output bit-identical to recomputation.
+/// Contact contributions are not cached: almost every contact is Open, and
+/// contact_contribution returns zeros for an Open contact on its first
+/// line, so recomputing a pass costs less than storing and comparing a
+/// per-contact snapshot.
 struct DiagPhysicsCache {
     std::vector<Mat6> k;
     sparse::BlockVec f;
     bool valid = false;
-
-    struct ContactMemo {
-        std::int32_t bi = -1, bj = -1; ///< joint-material lookup inputs
-        contact::ContactState state = contact::ContactState::Open;
-        double shear_disp = 0.0, slide_sign = 0.0, last_gap = 0.0;
-        ContactGeometry geo;
-        ContactContribution cc;
-    };
-    std::vector<ContactMemo> memo;
-    bool memo_valid = false;
 };
-
-inline bool bits_equal(double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-inline bool bits_equal(const Vec6& a, const Vec6& b) {
-    for (int k = 0; k < 6; ++k)
-        if (!bits_equal(a[k], b[k])) return false;
-    return true;
-}
-/// True when the memo snapshot matches every contact_contribution input.
-inline bool memo_hit(const DiagPhysicsCache::ContactMemo& m, const Contact& c,
-                     const ContactGeometry& g) {
-    return m.bi == c.bi && m.bj == c.bj && m.state == c.state &&
-           bits_equal(m.shear_disp, c.shear_disp) && bits_equal(m.slide_sign, c.slide_sign) &&
-           bits_equal(m.last_gap, c.last_gap) && bits_equal(m.geo.en_i, g.en_i) &&
-           bits_equal(m.geo.gn_j, g.gn_j) && bits_equal(m.geo.es_i, g.es_i) &&
-           bits_equal(m.geo.gs_j, g.gs_j) && bits_equal(m.geo.gap0, g.gap0) &&
-           bits_equal(m.geo.shear0, g.shear0) && bits_equal(m.geo.length, g.length) &&
-           bits_equal(m.geo.ratio, g.ratio);
-}
 
 /// Serial reference assembly: diagonal physics plus contact springs.
 /// All contacts (including open ones) claim a sparsity slot so the matrix
@@ -112,7 +78,9 @@ public:
     /// copied (or kept, when already matching) and only block values are
     /// rewritten, so repeated passes reuse `out`'s allocations. With a valid
     /// `diag_cache` the per-block physics phase becomes a copy; either way
-    /// the result is bitwise identical to assemble().
+    /// the result is bitwise identical to assemble(). Contact contributions
+    /// are computed one at a time inside the serial, contact-ordered
+    /// scatter, so no per-contact scratch is kept.
     /// `diag_par_seconds`, when given, receives the parallel-region slice
     /// of `diag_seconds` (see par::parallel_region_seconds()).
     void assemble_into(AssembledSystem& out, const BlockSystem& sys, const BlockAttachments& att,

@@ -152,29 +152,18 @@ void GpuAssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys
         *diag_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - diag_start).count();
 
-    // Contact contributions: each index owns its memo entry, its D slots,
-    // and its RHS staging slots. The state-dependent RHS entries (2 per
-    // active contact) compact into fkeys_/f_parts_ afterwards through a
-    // prefix-sum of the active counts — the scatter offsets depend only on
-    // which contacts are active, never on the team, so the compacted
-    // sequence is exactly the serial emission order.
-    const bool memo_ok =
-        diag_cache && diag_cache->memo_valid && diag_cache->memo.size() == nc;
-    if (diag_cache) diag_cache->memo.resize(nc);
+    // Contact contributions: each index owns its D slots and its RHS
+    // staging slots. The state-dependent RHS entries (2 per active contact)
+    // compact into fkeys_/f_parts_ afterwards through a prefix-sum of the
+    // active counts — the scatter offsets depend only on which contacts are
+    // active, never on the team, so the compacted sequence is exactly the
+    // serial emission order.
     rhs_fi_.resize(nc);
     rhs_fj_.resize(nc);
     rhs_count_.resize(nc);
     par::parallel_for(nc, 64, [&](std::size_t c) {
         const Contact& ct = contacts[c];
-        ContactContribution cc;
-        if (memo_ok && memo_hit(diag_cache->memo[c], ct, geo[c])) {
-            cc = diag_cache->memo[c].cc;
-        } else {
-            cc = contact_contribution(sys, ct, geo[c], sp.contact);
-            if (diag_cache)
-                diag_cache->memo[c] = {ct.bi,         ct.bj,       ct.state, ct.shear_disp,
-                                       ct.slide_sign, ct.last_gap, geo[c],   cc};
-        }
+        const ContactContribution cc = contact_contribution(sys, ct, geo[c], sp.contact);
         d_blocks_[n + 3 * c] = cc.kii;
         d_blocks_[n + 3 * c + 1] = cc.kjj;
         d_blocks_[n + 3 * c + 2] = ct.bi < ct.bj ? cc.kij : cc.kij.transposed();
@@ -182,7 +171,6 @@ void GpuAssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys
         rhs_fj_[c] = cc.fj;
         rhs_count_[c] = cc.active ? 2u : 0u;
     });
-    if (diag_cache) diag_cache->memo_valid = true;
 
     rhs_off_.resize(nc);
     const std::uint64_t rhs_total = par::device_exclusive_scan(rhs_count_, rhs_off_);

@@ -71,6 +71,22 @@ void block_diagonal(const BlockSystem& sys, const BlockAttachments& att, int bid
     }
 }
 
+namespace {
+
+// m = (u w^T) s and m += (u w^T) s, element by element with the operation
+// order of Mat6::outer(u, w) * s, so the bits match; writing each element
+// once skips the 288-byte temporaries of the operator form.
+void set_outer(Mat6& m, const Vec6& u, const Vec6& w, double s) {
+    for (int r = 0; r < 6; ++r)
+        for (int c = 0; c < 6; ++c) m(r, c) = u[r] * w[c] * s;
+}
+void add_outer(Mat6& m, const Vec6& u, const Vec6& w, double s) {
+    for (int r = 0; r < 6; ++r)
+        for (int c = 0; c < 6; ++c) m(r, c) += u[r] * w[c] * s;
+}
+
+} // namespace
+
 ContactContribution contact_contribution(const BlockSystem& sys, const Contact& c,
                                          const ContactGeometry& g,
                                          const contact::OpenCloseParams& params) {
@@ -79,9 +95,9 @@ ContactContribution contact_contribution(const BlockSystem& sys, const Contact& 
     out.active = true;
 
     const double p = params.penalty;
-    out.kii = Mat6::outer(g.en_i, g.en_i) * p;
-    out.kjj = Mat6::outer(g.gn_j, g.gn_j) * p;
-    out.kij = Mat6::outer(g.en_i, g.gn_j) * p;
+    set_outer(out.kii, g.en_i, g.en_i, p);
+    set_outer(out.kjj, g.gn_j, g.gn_j, p);
+    set_outer(out.kij, g.en_i, g.gn_j, p);
     // Rate-limited penetration recovery (see OpenCloseParams::max_push).
     const double gap_rhs = std::max(g.gap0, -params.max_push);
     out.fi = g.en_i * (-p * gap_rhs);
@@ -89,9 +105,9 @@ ContactContribution contact_contribution(const BlockSystem& sys, const Contact& 
 
     if (c.state == contact::ContactState::Lock) {
         const double ps = params.shear_penalty;
-        out.kii += Mat6::outer(g.es_i, g.es_i) * ps;
-        out.kjj += Mat6::outer(g.gs_j, g.gs_j) * ps;
-        out.kij += Mat6::outer(g.es_i, g.gs_j) * ps;
+        add_outer(out.kii, g.es_i, g.es_i, ps);
+        add_outer(out.kjj, g.gs_j, g.gs_j, ps);
+        add_outer(out.kij, g.es_i, g.gs_j, ps);
         const double shear_rhs =
             std::clamp(c.shear_disp, -params.max_push, params.max_push);
         out.fi += g.es_i * (-ps * shear_rhs);

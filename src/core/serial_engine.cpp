@@ -319,6 +319,12 @@ void DdaEngine::commit_step(const std::vector<ContactGeometry>& geo, const Block
     simt::KernelCost cost = simt::KernelCost::accumulator();
     simt::KernelCost* sink = mode_ == EngineMode::Gpu ? &cost : nullptr;
 
+    // Counted here, for the regular and the last-resort commit alike.
+    stats.contacts = contacts_.size();
+    stats.active_contacts = 0;
+    for (const Contact& c : contacts_)
+        if (c.state != contact::ContactState::Open) ++stats.active_contacts;
+
     contact::commit_contact_springs(geo, contacts_, d);
 
     // Velocity update v = 2 d / dt - v0, damped to zero in static mode.
@@ -399,6 +405,9 @@ StepStats DdaEngine::step_impl() {
         trace::Span pass_span(tracer_.get(), trace::Category::Pass, "displacement_pass");
         stats.retries = attempt;
         stats.converged = true;
+        // The rejection test below judges this attempt alone: a deeper
+        // closing depth from an earlier, larger dt must not carry over.
+        stats.max_penetration = 0.0;
         // Block state or dt changed since the last attempt: the cached
         // diagonal physics is stale (the contact structure may still hold).
         ++values_epoch_;
@@ -454,9 +463,6 @@ StepStats DdaEngine::step_impl() {
 
         if (oc_converged && stats.converged && disp_ok && pen_ok) {
             stats.dt_used = dt_;
-            stats.contacts = contacts_.size();
-            for (const Contact& c : contacts_)
-                if (c.state != contact::ContactState::Open) ++stats.active_contacts;
             commit_step(geo, d, stats);
             // Reward easy steps with a larger dt (bounded).
             if (oc_iters <= 3 && attempt == 0) dt_ = std::min(dt_ * cfg_.dt_grow, cfg_.dt_max);
@@ -473,6 +479,8 @@ StepStats DdaEngine::step_impl() {
     // flag non-convergence for the caller.
     stats.converged = false;
     stats.dt_used = dt_;
+    stats.max_penetration = 0.0;
+    stats.open_close_iters = 1;
     trace::Span pass_span(tracer_.get(), trace::Category::Pass, "displacement_pass_last_resort");
     const std::vector<ContactGeometry> geo = init_contacts();
     BlockVec d(sys_->size());

@@ -16,10 +16,9 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
     warm_ = reuse_ && have_structure_ && fp == fp_;
 
     if (values_epoch != diag_epoch_) {
-        // Block state / dt changed: both the diagonal physics and the
-        // per-contact contribution memo were computed from stale inputs.
+        // Block state / dt changed: the diagonal physics was computed from
+        // stale inputs.
         diag_cache_.valid = false;
-        diag_cache_.memo_valid = false;
         diag_epoch_ = values_epoch;
     }
     const bool diag_hit = reuse_ && diag_cache_.valid;
@@ -36,7 +35,6 @@ void SolveWorkspace::assemble(const block::BlockSystem& sys,
         // keyed on the same fingerprint: force their cold paths too.
         have_h_ = false;
         have_pre_ = false;
-        diag_cache_.memo_valid = false; // per-contact memo indexes the old list
         ++stats_.cold_structure_builds;
     } else {
         ++stats_.warm_numeric_refills;
@@ -191,7 +189,6 @@ void SolveWorkspace::invalidate() {
     use_sell_ = false;
     have_pre_ = false;
     diag_cache_.valid = false;
-    diag_cache_.memo_valid = false;
     warm_ = false;
 }
 

@@ -38,25 +38,6 @@ double modeled_ms(const KernelCost& cost, const DeviceProfile& dev) {
     return parts.work_ms + parts.divergence_ms + parts.launch_ms;
 }
 
-double modeled_ms_multi(const KernelCost& cost, const DeviceProfile& dev,
-                        const MultiGpuConfig& mgpu) {
-    const double p = std::max(mgpu.devices, 1);
-    KernelCost split = cost;
-    split.flops /= p;
-    split.bytes_coalesced /= p;
-    split.bytes_texture /= p;
-    split.bytes_random /= p;
-    // Depth (dependency chains) and launch count do not shrink with devices.
-    const double compute_ms = modeled_ms(split, dev);
-    if (mgpu.devices <= 1) return compute_ms;
-    const double traffic =
-        cost.bytes_coalesced + cost.bytes_texture + cost.bytes_random;
-    const double halo_bytes = mgpu.halo_fraction * traffic;
-    const double exchange_ms = cost.launches * mgpu.link_latency_us * 1e-3 +
-                               halo_bytes / (mgpu.link_bandwidth_gb * 1e6);
-    return compute_ms + exchange_ms;
-}
-
 void CostLedger::add(const KernelCost& cost) { total_ += cost; }
 
 } // namespace gdda::simt

@@ -86,21 +86,6 @@ inline void record_skipped_kernel(KernelCost* sink, const std::string& name, int
     record_kernel(sink, kc, module);
 }
 
-/// Multi-GPU projection (the paper's stated future work: "applying these
-/// efforts to three-dimensional DDA on the multiple GPUs"). Work-type terms
-/// scale with the device count; the latency chain does not; each launch
-/// additionally pays a halo exchange of `halo_fraction` of the kernel's
-/// traffic across the interconnect. This is a planning model, not a
-/// simulation of any particular decomposition.
-struct MultiGpuConfig {
-    int devices = 2;
-    double link_bandwidth_gb = 12.0; ///< PCIe 3.0 x16 effective (peer DMA)
-    double link_latency_us = 2.0;    ///< per exchange, overlap-friendly
-    double halo_fraction = 0.03;     ///< boundary share of the traffic
-};
-double modeled_ms_multi(const KernelCost& cost, const DeviceProfile& dev,
-                        const MultiGpuConfig& mgpu);
-
 /// Accumulator for a pipeline module (e.g. "contact detection") across a run.
 class CostLedger {
 public:

@@ -139,6 +139,25 @@ TEST(Engine, StepStatsPopulated) {
     EXPECT_TRUE(st.converged);
 }
 
+TEST(Engine, PenetrationRejectionJudgesEachAttemptAlone) {
+    // A unit block (mobile size 1) 0.01 above a fixed floor, falling at
+    // 130 m/s. At dt = 1e-3 its free flight closes the floor contacts 0.12
+    // deep, over the 0.05 rejection depth, so the first attempt is
+    // rejected. At dt = 3e-4 they close 0.029 deep, which is accepted. A
+    // depth left over from the rejected attempt must not reject that one.
+    bl::BlockSystem sys = gdda::models::make_block_on_floor(0.01);
+    sys.blocks[1].velocity[1] = -130.0;
+    co::SimConfig cfg = quick_config();
+    cfg.max_disp_ratio = 0.1; // admit the 0.13 free-flight displacement
+    co::DdaEngine eng(sys, cfg, co::EngineMode::Serial);
+    const co::StepStats st = eng.step();
+    EXPECT_TRUE(st.converged);
+    EXPECT_EQ(st.retries, 1);
+    EXPECT_DOUBLE_EQ(st.dt_used, cfg.dt * cfg.dt_shrink);
+    EXPECT_GT(st.active_contacts, 0u);
+    EXPECT_LT(st.max_penetration, 0.05);
+}
+
 TEST(Simulation, RunUntilStatic) {
     co::SimConfig cfg = quick_config();
     cfg.velocity_carry = 0.0;

@@ -174,47 +174,3 @@ TEST(CostModel, TextureFasterThanRandomSlowerThanCoalesced) {
     EXPECT_LT(s::modeled_ms(c, dev), s::modeled_ms(t, dev));
     EXPECT_LT(s::modeled_ms(t, dev), s::modeled_ms(r, dev));
 }
-
-TEST(MultiGpu, WorkScalesLatencyDoesNot) {
-    s::KernelCost kc;
-    kc.bytes_coalesced = 1e8;
-    kc.launches = 1;
-    s::MultiGpuConfig two;
-    two.devices = 2;
-    two.halo_fraction = 0.0;
-    two.link_latency_us = 0.0;
-    const double t1 = s::modeled_ms(kc, s::tesla_k40());
-    const double t2 = s::modeled_ms_multi(kc, s::tesla_k40(), two);
-    EXPECT_NEAR(t2, t1 / 2.0 + 0.5 * s::tesla_k40().kernel_launch_us * 1e-3, 0.02 * t1);
-
-    // A pure dependency chain gains nothing from devices.
-    s::KernelCost chain;
-    chain.depth = 1000;
-    chain.launches = 0;
-    EXPECT_NEAR(s::modeled_ms_multi(chain, s::tesla_k40(), two),
-                s::modeled_ms(chain, s::tesla_k40()), 1e-9);
-}
-
-TEST(MultiGpu, HaloExchangeAddsCost) {
-    s::KernelCost kc;
-    kc.bytes_coalesced = 1e8;
-    kc.launches = 10;
-    s::MultiGpuConfig cfg;
-    cfg.devices = 4;
-    const double with_halo = s::modeled_ms_multi(kc, s::tesla_k40(), cfg);
-    cfg.halo_fraction = 0.0;
-    cfg.link_latency_us = 0.0;
-    const double without = s::modeled_ms_multi(kc, s::tesla_k40(), cfg);
-    EXPECT_GT(with_halo, without);
-}
-
-TEST(MultiGpu, SingleDeviceIdentity) {
-    s::KernelCost kc;
-    kc.flops = 1e7;
-    kc.bytes_coalesced = 1e6;
-    kc.depth = 50;
-    s::MultiGpuConfig one;
-    one.devices = 1;
-    EXPECT_DOUBLE_EQ(s::modeled_ms_multi(kc, s::tesla_k20(), one),
-                     s::modeled_ms(kc, s::tesla_k20()));
-}

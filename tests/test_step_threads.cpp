@@ -159,8 +159,8 @@ TEST(StepThreads, AssemblyBitwiseInvariantAcrossTeams) {
         EXPECT_TRUE(same_mat_bits(ref.k.vals, gpu.k.vals)) << "gpu vals, " << tag;
         EXPECT_TRUE(same_vec_bits(ref.f, gpu.f)) << "gpu f, " << tag;
 
-        // Warm refill (diag cache + memo populated by the first pass) must
-        // stay bit-identical too — the cached path is the common one.
+        // Warm refill (diag cache populated by the first pass) must stay
+        // bit-identical too — the cached path is the common one.
         assembly::DiagPhysicsCache cache;
         assembly::AssembledSystem cold, warm;
         gplan.assemble_into(cold, sys, att, np.contacts, geo, sp, nullptr, nullptr, &cache);

@@ -299,6 +299,14 @@ TEST(Trace, LastResortPassIsTimedAndCosted) {
     core::DdaEngine eng(sys, cfg, core::EngineMode::Gpu);
     const core::StepStats st = eng.step();
     ASSERT_FALSE(st.converged) << "the step must take the last-resort pass";
+    // The last-resort commit reports its contacts and its one pass.
+    EXPECT_EQ(st.open_close_iters, 1);
+    EXPECT_EQ(st.contacts, eng.contacts().size());
+    EXPECT_GT(st.contacts, 0u);
+    std::size_t active = 0;
+    for (const auto& c : eng.contacts())
+        if (c.state != contact::ContactState::Open) ++active;
+    EXPECT_EQ(st.active_contacts, active);
 
     const auto ev = eng.tracer()->snapshot();
     const int passes = count_begins(ev, trace::Category::Pass);
