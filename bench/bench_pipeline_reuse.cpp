@@ -9,6 +9,9 @@
 //   preconditioner  construction                 vs  refactor()
 //   PCG             zero start                   vs  warm start
 //
+// The gated cold and warm times are medians over the timed reps, each side
+// after one untimed warm-up rep, so one slow rep cannot swing the ratio.
+//
 // Correctness gates (the bench exits non-zero on violation):
 //   * warm-pass matrix, RHS and HSBCSR payload bitwise-identical to cold,
 //   * a static contact set must drive ZERO structural rebuilds across
@@ -16,6 +19,7 @@
 //
 // Usage: bench_pipeline_reuse [blocks] [reps] [--short]
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -63,6 +67,12 @@ bool bitwise_equal(const assembly::AssembledSystem& a, const assembly::Assembled
     return true;
 }
 
+double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t m = v.size() / 2;
+    return v.size() % 2 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -85,49 +95,57 @@ int main(int argc, char** argv) {
         blocks = std::min(blocks, 200);
         reps = std::min(reps, 10);
     }
+    reps = std::max(reps, 1);
 
     Case c = make_case(blocks);
     std::printf("slope-stability case: %zu blocks, %zu contacts, %d reps%s\n", c.sys.size(),
                 c.contacts.size(), reps, short_mode ? " (short)" : "");
 
     // ---- workspace-level: cold pass vs warm pass (GPU sort/scan plan) ----
-    bench::header("solve path: cold vs warm (per pass, averaged)");
+    bench::header("solve path: cold vs warm (per pass, median)");
 
-    // Cold: a fresh workspace every rep — full symbolic rebuild.
-    double cold_asm = 0.0, cold_prep = 0.0;
+    // Cold: a fresh workspace every rep — full symbolic rebuild. Rep 0 is
+    // the untimed warm-up; it also keeps the reference for the bitwise gate.
+    std::vector<double> cold_asm_ms, cold_prep_ms;
     assembly::AssembledSystem cold_ref;
     sparse::HsbcsrMatrix cold_h;
-    for (int r = 0; r < reps; ++r) {
+    for (int r = 0; r <= reps; ++r) {
         core::SolveWorkspace ws(/*gpu_mode=*/true, /*reuse=*/true);
         auto t0 = bench::Clock::now();
         ws.assemble(c.sys, c.att, c.contacts, c.geo, c.sp, 1, nullptr, nullptr);
-        cold_asm += bench::ms_since(t0);
+        const double a = bench::ms_since(t0);
         t0 = bench::Clock::now();
         ws.prepare_solve(core::PrecondKind::BlockJacobi, nullptr);
-        cold_prep += bench::ms_since(t0);
+        const double p = bench::ms_since(t0);
         if (r == 0) {
             cold_ref = ws.assembled();
             cold_h = ws.matrix();
+            continue;
         }
+        cold_asm_ms.push_back(a);
+        cold_prep_ms.push_back(p);
     }
-    cold_asm /= reps;
-    cold_prep /= reps;
+    const double cold_asm = median(cold_asm_ms);
+    const double cold_prep = median(cold_prep_ms);
 
-    // Warm: one workspace, first (cold) pass untimed, then warm reps.
+    // Warm: one workspace; its first (cold) pass and one warm pass run
+    // untimed, then the timed warm reps.
     core::SolveWorkspace ws(/*gpu_mode=*/true, /*reuse=*/true);
-    ws.assemble(c.sys, c.att, c.contacts, c.geo, c.sp, 1, nullptr, nullptr);
-    ws.prepare_solve(core::PrecondKind::BlockJacobi, nullptr);
-    double warm_asm = 0.0, warm_prep = 0.0;
+    for (int r = 0; r < 2; ++r) {
+        ws.assemble(c.sys, c.att, c.contacts, c.geo, c.sp, 1, nullptr, nullptr);
+        ws.prepare_solve(core::PrecondKind::BlockJacobi, nullptr);
+    }
+    std::vector<double> warm_asm_ms, warm_prep_ms;
     for (int r = 0; r < reps; ++r) {
         auto t0 = bench::Clock::now();
         ws.assemble(c.sys, c.att, c.contacts, c.geo, c.sp, 1, nullptr, nullptr);
-        warm_asm += bench::ms_since(t0);
+        warm_asm_ms.push_back(bench::ms_since(t0));
         t0 = bench::Clock::now();
         ws.prepare_solve(core::PrecondKind::BlockJacobi, nullptr);
-        warm_prep += bench::ms_since(t0);
+        warm_prep_ms.push_back(bench::ms_since(t0));
     }
-    warm_asm /= reps;
-    warm_prep /= reps;
+    const double warm_asm = median(warm_asm_ms);
+    const double warm_prep = median(warm_prep_ms);
 
     bool ok = true;
     if (!bitwise_equal(ws.assembled(), cold_ref) || ws.matrix().d_data != cold_h.d_data ||
