@@ -167,7 +167,10 @@ void BM_AssembleGpuStyle(benchmark::State& state) {
     sp.fixed_penalty = sp.contact.penalty;
     const auto att = assembly::index_attachments(sys);
     for (auto _ : state) {
-        auto as = assembly::assemble_gpu(sys, att, np.contacts, geo, sp);
+        assembly::GpuAssemblyPlan plan;
+        plan.build(static_cast<int>(sys.size()), np.contacts);
+        assembly::AssembledSystem as;
+        plan.assemble_into(as, sys, att, np.contacts, geo, sp);
         benchmark::DoNotOptimize(as.k.vals.data());
     }
 }

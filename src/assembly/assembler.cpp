@@ -127,15 +127,6 @@ AssemblyPlan::AssemblyPlan(int n, std::span<const Contact> contacts) : n_(n) {
     }
 }
 
-AssembledSystem AssemblyPlan::assemble(const BlockSystem& sys, const BlockAttachments& att,
-                                       std::span<const Contact> contacts,
-                                       std::span<const ContactGeometry> geo,
-                                       const StepParams& sp, double* diag_seconds) const {
-    AssembledSystem out;
-    assemble_into(out, sys, att, contacts, geo, sp, diag_seconds, nullptr, nullptr);
-    return out;
-}
-
 void AssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys,
                                  const BlockAttachments& att, std::span<const Contact> contacts,
                                  std::span<const ContactGeometry> geo, const StepParams& sp,

@@ -67,20 +67,13 @@ public:
     AssemblyPlan() = default;
     AssemblyPlan(int n, std::span<const Contact> contacts);
 
-    [[nodiscard]] AssembledSystem assemble(const BlockSystem& sys,
-                                           const BlockAttachments& att,
-                                           std::span<const Contact> contacts,
-                                           std::span<const ContactGeometry> geo,
-                                           const StepParams& sp,
-                                           double* diag_seconds = nullptr) const;
-
     /// Numeric refill into a caller-owned system: the cached structure is
     /// copied (or kept, when already matching) and only block values are
     /// rewritten, so repeated passes reuse `out`'s allocations. With a valid
     /// `diag_cache` the per-block physics phase becomes a copy; either way
-    /// the result is bitwise identical to assemble(). Contact contributions
-    /// are computed one at a time inside the serial, contact-ordered
-    /// scatter, so no per-contact scratch is kept.
+    /// the result is bitwise identical to assemble_serial(). Contact
+    /// contributions are computed one at a time inside the serial,
+    /// contact-ordered scatter, so no per-contact scratch is kept.
     /// `diag_par_seconds`, when given, receives the parallel-region slice
     /// of `diag_seconds` (see par::parallel_region_seconds()).
     void assemble_into(AssembledSystem& out, const BlockSystem& sys, const BlockAttachments& att,

@@ -35,22 +35,9 @@ CategoryStats classify_categories(std::span<const Contact> contacts) {
     return s;
 }
 
-AssembledSystem assemble_gpu(const BlockSystem& sys, const BlockAttachments& att,
-                             std::span<const Contact> contacts,
-                             std::span<const ContactGeometry> geo, const StepParams& sp,
-                             GpuAssemblyCosts* costs, double* diag_seconds) {
-    GpuAssemblyPlan plan;
-    plan.build(static_cast<int>(sys.size()), contacts);
-    AssembledSystem out;
-    plan.assemble_into(out, sys, att, contacts, geo, sp, costs, diag_seconds, nullptr,
-                       /*warm=*/false);
-    return out;
-}
-
 void GpuAssemblyPlan::build(int n, std::span<const Contact> contacts) {
     n_ = n;
     contact_count_ = contacts.size();
-    rhs_valid_ = false;
 
     // Keys in the exact emission order of the numeric pass (and of the
     // serial assembler): per-block diagonals first, then kii/kjj/kij per
@@ -116,130 +103,98 @@ void GpuAssemblyPlan::assemble_into(AssembledSystem& out, const BlockSystem& sys
     const std::size_t nc = contacts.size();
     const bool diag_hit = diag_cache && diag_cache->valid;
 
-    // Step 1: every contribution computes its sub-matrix independently into
-    // the paper's array D (scratch reused across passes). Slot ownership is
-    // fixed by index — diagonal i at D[i], contact c at D[n+3c..n+3c+2] —
-    // so the contribution kernels run under parallel_for with no ordering
-    // concern; only the summation order (fixed by the cached permutation)
-    // decides the bits.
-    d_blocks_.resize(n + nc * 3);
-    fkeys_.resize(n);
-    f_parts_.resize(n);
-
+    // Diagonal physics (block i's entry D[i] in the paper's array D): read
+    // from the cache when it holds this attempt's values, else computed into
+    // it. Each index writes only its own block.
+    DiagPhysicsCache& dc = diag_cache ? *diag_cache : own_diag_;
     const auto diag_start = std::chrono::steady_clock::now();
     const double diag_par0 = par::parallel_region_seconds();
-    if (diag_hit) {
-        par::parallel_for(static_cast<std::size_t>(n), par::kDefaultGrain, [&](std::size_t i) {
-            d_blocks_[i] = diag_cache->k[i];
-            fkeys_[i] = static_cast<std::uint64_t>(i);
-            f_parts_[i] = diag_cache->f[i];
-        });
-    } else {
+    if (!diag_hit) {
+        dc.k.resize(n);
+        dc.f.resize(n);
         par::parallel_for(static_cast<std::size_t>(n), 64, [&](std::size_t i) {
-            Vec6 f;
-            block_diagonal(sys, att, static_cast<int>(i), sp, d_blocks_[i], f);
-            fkeys_[i] = static_cast<std::uint64_t>(i);
-            f_parts_[i] = f;
+            block_diagonal(sys, att, static_cast<int>(i), sp, dc.k[i], dc.f[i]);
         });
-        if (diag_cache) {
-            diag_cache->k.assign(d_blocks_.begin(), d_blocks_.begin() + n);
-            diag_cache->f.assign(f_parts_.begin(), f_parts_.begin() + n);
-            diag_cache->valid = true;
-        }
+        dc.valid = diag_cache != nullptr;
     }
     if (diag_par_seconds) *diag_par_seconds = par::parallel_region_seconds() - diag_par0;
     if (diag_seconds)
         *diag_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - diag_start).count();
 
-    // Contact contributions: each index owns its D slots and its RHS
-    // staging slots. The state-dependent RHS entries (2 per active contact)
-    // compact into fkeys_/f_parts_ afterwards through a prefix-sum of the
-    // active counts — the scatter offsets depend only on which contacts are
-    // active, never on the team, so the compacted sequence is exactly the
-    // serial emission order.
-    rhs_fi_.resize(nc);
-    rhs_fj_.resize(nc);
-    rhs_count_.resize(nc);
+    // Step 1 for the contacts: only active (non-Open) contacts contribute;
+    // an Open contact's sub-matrices and loads are exact zeros. An exclusive
+    // scan of the active flags gives each active contact its compact slot in
+    // array D, so the contribution kernels run under parallel_for with no
+    // ordering concern; only the summation order (fixed by the cached
+    // permutation) decides the bits.
+    active_.resize(nc);
+    slot_.resize(nc);
+    par::parallel_for(nc, par::kDefaultGrain, [&](std::size_t c) {
+        active_[c] = contacts[c].has_normal_spring() ? 1u : 0u;
+    });
+    const std::uint64_t active_total = par::device_exclusive_scan(active_, slot_);
+    d_blocks_.resize(3 * active_total);
+    f_parts_.resize(2 * active_total);
     par::parallel_for(nc, 64, [&](std::size_t c) {
+        if (active_[c] == 0) return;
         const Contact& ct = contacts[c];
         const ContactContribution cc = contact_contribution(sys, ct, geo[c], sp.contact);
-        d_blocks_[n + 3 * c] = cc.kii;
-        d_blocks_[n + 3 * c + 1] = cc.kjj;
-        d_blocks_[n + 3 * c + 2] = ct.bi < ct.bj ? cc.kij : cc.kij.transposed();
-        rhs_fi_[c] = cc.fi;
-        rhs_fj_[c] = cc.fj;
-        rhs_count_[c] = cc.active ? 2u : 0u;
-    });
-
-    rhs_off_.resize(nc);
-    const std::uint64_t rhs_total = par::device_exclusive_scan(rhs_count_, rhs_off_);
-    fkeys_.resize(n + rhs_total);
-    f_parts_.resize(n + rhs_total);
-    par::parallel_for(nc, par::kDefaultGrain, [&](std::size_t c) {
-        if (rhs_count_[c] == 0) return;
-        const std::size_t o = static_cast<std::size_t>(n) + rhs_off_[c];
-        const Contact& ct = contacts[c];
-        fkeys_[o] = static_cast<std::uint64_t>(ct.bi);
-        f_parts_[o] = rhs_fi_[c];
-        fkeys_[o + 1] = static_cast<std::uint64_t>(ct.bj);
-        f_parts_[o + 1] = rhs_fj_[c];
+        const std::size_t a = slot_[c];
+        d_blocks_[3 * a] = cc.kii;
+        d_blocks_[3 * a + 1] = cc.kjj;
+        d_blocks_[3 * a + 2] = ct.bi < ct.bj ? cc.kij : cc.kij.transposed();
+        f_parts_[2 * a] = cc.fi;
+        f_parts_[2 * a + 1] = cc.fj;
     });
 
     // Steps 2-5, numeric half only: the sort permutation and segment ends
-    // are cached, so the matrix side reduces to segmented sums gathered
-    // through perm_ and written straight into the cached BSR structure.
-    // Every segment owns a unique output slot (one diag row or one vals
-    // slot — unique keys sort to distinct segments) and sums its run in
-    // permutation order, so the per-segment kernels parallelize while the
-    // bits stay those of the serial pass.
+    // are cached, so assembly reduces to segmented sums gathered through
+    // perm_ and written straight into the cached BSR structure. Emitted
+    // entry e < n is block e's diagonal; entry n + 3c + r is contact c's
+    // kii (r = 0), kjj (r = 1) or kij (r = 2). Block i's diagonal segment
+    // lists D[i] and then one kii or kjj per incident contact in contact
+    // order — the order of the loads f_i, fi, fj — so it sums out.f[i] in
+    // the same pass. Open contacts' entries are skipped: every accumulator
+    // starts at +0.0 and a sum of doubles never turns into -0.0, so
+    // leaving out an exact +0.0 addend changes no bit. Every segment owns a
+    // unique output slot (one diag row or one vals slot), so the segments
+    // parallelize while the bits stay those of the serial pass.
     out.k.n = n;
     out.k.row_ptr = row_ptr_;
     out.k.col_idx = col_idx_;
     out.k.diag.assign(n, Mat6{});
     out.k.vals.assign(col_idx_.size(), Mat6{});
+    out.f.assign(n, Vec6{});
+    const auto un = static_cast<std::uint32_t>(n);
     par::parallel_for(ends_.size(), 64, [&](std::size_t s) {
         const std::uint32_t begin = s == 0 ? 0u : ends_[s - 1];
         const std::uint32_t end = ends_[s];
         Mat6 acc;
-        for (std::uint32_t p = begin; p < end; ++p) acc += d_blocks_[perm_[p]];
+        Vec6 facc;
+        for (std::uint32_t p = begin; p < end; ++p) {
+            const std::uint32_t e = perm_[p];
+            if (e < un) {
+                acc += dc.k[e];
+                facc += dc.f[e];
+                continue;
+            }
+            const std::uint32_t c = (e - un) / 3;
+            if (active_[c] == 0) continue;
+            const std::uint32_t r = (e - un) % 3;
+            acc += d_blocks_[3 * std::size_t{slot_[c]} + r];
+            if (r < 2) facc += f_parts_[2 * std::size_t{slot_[c]} + r];
+        }
         // Mirror bsr_from_coo exactly: diagonal blocks accumulate onto the
         // zero initializer, off-diagonal blocks are copied.
         if (seg_slot_[s] < 0) {
-            out.k.diag[-(seg_slot_[s] + 1)] += acc;
+            const int i = -(seg_slot_[s] + 1);
+            out.k.diag[i] += acc;
+            out.f[i] += facc;
         } else {
             out.k.vals[seg_slot_[s]] = acc;
         }
     });
-
-    // RHS: which contacts emit load entries depends on their open/close
-    // state, so its key sequence is not covered by the structural
-    // fingerprint. The sort permutation is still cached on the key sequence
-    // itself: an identical sequence sorts identically (the radix sort is
-    // deterministic), so reusing the permutation and segment ends is
-    // bit-identical to re-sorting — and across converged open-close passes
-    // the active set rarely changes. Each segment targets a unique out.f
-    // row, so the segmented sums parallelize like the matrix side.
-    out.f.assign(n, Vec6{});
-    {
-        if (!(rhs_valid_ && fkeys_ == rhs_keys_)) {
-            rhs_keys_ = fkeys_;
-            rhs_sorted_ = fkeys_;
-            rhs_perm_.resize(fkeys_.size());
-            for (std::size_t i = 0; i < rhs_perm_.size(); ++i)
-                rhs_perm_[i] = static_cast<std::uint32_t>(i);
-            par::radix_sort_pairs(rhs_sorted_, rhs_perm_);
-            rhs_ends_ = par::segment_ends(par::segment_heads(rhs_sorted_));
-            rhs_valid_ = true;
-        }
-        par::parallel_for(rhs_ends_.size(), par::kDefaultGrain, [&](std::size_t s) {
-            const std::uint32_t b = s == 0 ? 0u : rhs_ends_[s - 1];
-            const std::uint32_t e = rhs_ends_[s];
-            Vec6 acc;
-            for (std::uint32_t p = b; p < e; ++p) acc += f_parts_[rhs_perm_[p]];
-            out.f[rhs_sorted_[b]] += acc;
-        });
-    }
 
     if (costs) {
         const double nn = n;

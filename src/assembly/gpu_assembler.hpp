@@ -9,9 +9,14 @@
 //   4. a scan of di yields each segment's slot; segment ends give sd2
 //   5. each unique sub-matrix is the segmented sum SD[sd2[k-1]..sd2[k])
 //
-// The right-hand side is reduced the same way with per-block keys. The
-// result is bit-identical to assemble_serial (tests enforce it) because the
-// stable radix sort preserves the same summation order.
+// The right-hand side rides the same permutation: block i's diagonal
+// segment holds its own diagonal entry followed by one kii or kjj per
+// incident contact, in emission order, which is exactly the order of the
+// loads f_i, fi, fj, so each diagonal segment sums the matrix block and the
+// RHS row together. Only active (non-Open) contacts hold D slots; an Open
+// contact's sub-matrices are exact zeros and the segmented sums skip them.
+// The result is bit-identical to assemble_serial (tests enforce it) because
+// the stable radix sort preserves the same summation order.
 //
 // Costs are accounted into two ledgers matching the paper's Table II rows:
 // diagonal matrix building (per-block physics) and non-diagonal matrix
@@ -37,22 +42,16 @@ struct GpuAssemblyCosts {
     simt::KernelCost nondiagonal = simt::KernelCost::accumulator();
 };
 
-AssembledSystem assemble_gpu(const BlockSystem& sys, const BlockAttachments& att,
-                             std::span<const Contact> contacts,
-                             std::span<const ContactGeometry> geo, const StepParams& sp,
-                             GpuAssemblyCosts* costs = nullptr,
-                             double* diag_seconds = nullptr);
-
 /// Cached sort-and-scan assembly plan: the symbolic half of the Fig. 4
 /// pipeline — key emission order, stable radix-sort permutation, segment
 /// boundaries, and the BSR slot of every segment — computed once per contact
-/// structure by build(). assemble_into() then runs only the numeric half
-/// (contribution kernels plus segmented sums through the cached permutation)
-/// and is bit-identical to assemble_gpu, which itself routes through a
-/// throwaway plan. The RHS reduction depends on which contacts are active
-/// (state-dependent), so its sort is cached on the emitted key sequence
-/// itself rather than on the structural fingerprint: whenever the sequence
-/// repeats bit-for-bit, the previous permutation is replayed.
+/// structure by build(). Every contact, open or not, emits its keys there,
+/// so the structure holds across the open-close iterations. assemble_into()
+/// then runs only the numeric half: contribution kernels for the active
+/// contacts, then one segmented pass through the cached permutation that
+/// sums the matrix and the RHS together. The plan keeps no other
+/// permutation; its per-pass contact scratch holds one active flag and one
+/// compact slot per contact, plus three Mat6 and two Vec6 per active one.
 class GpuAssemblyPlan {
 public:
     GpuAssemblyPlan() = default;
@@ -62,18 +61,17 @@ public:
 
     /// Numeric half through the cached plan, writing into a caller-owned
     /// system so repeated passes reuse its allocations. `warm` selects the
-    /// cost accounting only: cold records exactly the kernels assemble_gpu
-    /// always recorded; warm records the numeric refill plus zero-cost
-    /// "[cached]" markers for the skipped structural kernels.
+    /// cost accounting only: cold records the structural sort/scan kernels
+    /// as well; warm records the numeric refill plus zero-cost "[cached]"
+    /// markers for the skipped structural kernels.
     ///
-    /// Runs on the par/ execution backend: contribution kernels fill
-    /// index-owned slots of the scratch arrays, the state-dependent RHS
-    /// entries compact through a prefix-sum (preserving the serial emission
-    /// order), and the segmented sums parallelize over segments — each
-    /// segment owns a unique output slot and sums in cached-permutation
-    /// order, so the result stays bit-for-bit the serial summation for any
-    /// team size. `diag_par_seconds`, when given, receives the parallel-
-    /// region slice of `diag_seconds`.
+    /// Runs on the par/ execution backend: a prefix-sum over the active
+    /// flags gives each active contact its compact slot, the contribution
+    /// kernels fill those slots, and the segmented sums parallelize over
+    /// segments — each segment owns a unique output slot and sums in
+    /// cached-permutation order, so the result stays bit-for-bit the serial
+    /// summation for any team size. `diag_par_seconds`, when given,
+    /// receives the parallel-region slice of `diag_seconds`.
     void assemble_into(AssembledSystem& out, const BlockSystem& sys, const BlockAttachments& att,
                        std::span<const Contact> contacts, std::span<const ContactGeometry> geo,
                        const StepParams& sp, GpuAssemblyCosts* costs = nullptr,
@@ -88,18 +86,14 @@ private:
     std::vector<int> row_ptr_;           ///< BSR structure template
     std::vector<int> col_idx_;
     std::vector<int> seg_slot_;          ///< >= 0: vals index; < 0: diag block -(i+1)
-    mutable std::vector<Mat6> d_blocks_; ///< contribution scratch (array D), reused
-    mutable std::vector<std::uint64_t> fkeys_;
+    /// Holds the diagonal physics when the caller passes no cache.
+    mutable DiagPhysicsCache own_diag_;
+    mutable std::vector<std::uint32_t> active_; ///< 1 per non-Open contact
+    mutable std::vector<std::uint32_t> slot_;   ///< exclusive scan of active_
+    /// Array D for the active contacts: kii, kjj, kij at 3 * slot, and the
+    /// loads fi, fj at 2 * slot.
+    mutable std::vector<Mat6> d_blocks_;
     mutable std::vector<Vec6> f_parts_;
-    /// Per-contact RHS staging for the parallel contribution pass: loads
-    /// land index-owned here, then compact into fkeys_/f_parts_ through a
-    /// prefix-sum of the active flags (2 entries per active contact).
-    mutable std::vector<Vec6> rhs_fi_, rhs_fj_;
-    mutable std::vector<std::uint32_t> rhs_count_, rhs_off_;
-    /// RHS sort cache, keyed on the emitted key sequence (see class docs).
-    mutable std::vector<std::uint64_t> rhs_keys_, rhs_sorted_;
-    mutable std::vector<std::uint32_t> rhs_perm_, rhs_ends_;
-    mutable bool rhs_valid_ = false;
 };
 
 } // namespace gdda::assembly

@@ -91,7 +91,7 @@ ContactContribution contact_contribution(const BlockSystem& sys, const Contact& 
                                          const ContactGeometry& g,
                                          const contact::OpenCloseParams& params) {
     ContactContribution out;
-    if (c.state == contact::ContactState::Open) return out;
+    if (!c.has_normal_spring()) return out;
     out.active = true;
 
     const double p = params.penalty;

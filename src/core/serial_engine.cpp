@@ -492,9 +492,6 @@ StepStats DdaEngine::step_impl() {
 
 namespace {
 
-static_assert(kModuleCount == obs::kModuleCount,
-              "core::Module rows and obs module keys must stay in sync");
-
 /// Per-step module deltas: cumulative timers/ledgers sampled before and
 /// after the step, differenced into the record's plain-number form.
 obs::ModuleRecord module_delta(double seconds_before, double seconds_after,

@@ -5,9 +5,9 @@
 // into modeled device times.
 
 #include <array>
-#include <string_view>
 #include <utility>
 
+#include "obs/record.hpp"
 #include "par/parallel_for.hpp"
 #include "simt/cost_model.hpp"
 #include "trace/tracer.hpp"
@@ -22,12 +22,10 @@ enum class Module : int {
     InterpenetrationCheck = 4,
     DataUpdate = 5,
 };
-inline constexpr int kModuleCount = 6;
-
-constexpr std::array<std::string_view, kModuleCount> kModuleNames = {
-    "Contact Detection",       "Diagonal Matrix Building", "Non-diagonal Matrix Building",
-    "Equation Solving",        "Interpenetration Checking", "Data Updating",
-};
+/// The row count and titles are telemetry's (obs::kModuleTitles), so the
+/// two can never disagree.
+inline constexpr int kModuleCount = obs::kModuleCount;
+inline constexpr const auto& kModuleNames = obs::kModuleTitles;
 
 class ModuleTimers {
 public:

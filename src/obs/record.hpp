@@ -29,8 +29,8 @@ inline constexpr std::string_view kStepSchemaName = "gdda.obs.step";
 /// fields default to 0.
 inline constexpr int kSchemaVersion = 4;
 
-/// Pipeline modules in the paper's Table II/III row order. Must stay in sync
-/// with core::Module (static_asserted where the engine builds records).
+/// Pipeline modules in the paper's Table II/III row order, indexed by
+/// core::Module (core::kModuleNames aliases kModuleTitles).
 inline constexpr int kModuleCount = 6;
 inline constexpr std::array<std::string_view, kModuleCount> kModuleKeys = {
     "contact_detection", "diag_build",            "nondiag_build",

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "assembly/assembler.hpp"
 #include "assembly/gpu_assembler.hpp"
 #include "contact/broad_phase.hpp"
 #include "contact/narrow_phase.hpp"
+#include "models/slope.hpp"
 #include "models/stacks.hpp"
+#include "par/thread_budget.hpp"
 #include "solver/pcg.hpp"
 
 namespace as = gdda::assembly;
@@ -152,7 +157,10 @@ TEST(Assemble, GpuAssemblerBitIdentical) {
         double ds = 0.0;
         const auto a = as::assemble_serial(f.sys, f.att, f.contacts, f.geo, f.sp, &ds);
         as::GpuAssemblyCosts costs;
-        const auto b = as::assemble_gpu(f.sys, f.att, f.contacts, f.geo, f.sp, &costs);
+        as::GpuAssemblyPlan plan;
+        plan.build(static_cast<int>(f.sys.size()), f.contacts);
+        as::AssembledSystem b;
+        plan.assemble_into(b, f.sys, f.att, f.contacts, f.geo, f.sp, &costs);
 
         ASSERT_EQ(a.k.n, b.k.n);
         ASSERT_EQ(a.k.col_idx, b.k.col_idx);
@@ -167,6 +175,88 @@ TEST(Assemble, GpuAssemblerBitIdentical) {
             for (int e = 0; e < 6; ++e) EXPECT_EQ(a.f[i][e], b.f[i][e]);
         EXPECT_GT(costs.nondiagonal.flops, 0.0);
         EXPECT_GT(costs.diagonal.flops, 0.0);
+    }
+}
+
+namespace {
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+} // namespace
+
+// The Gpu plan stores contributions only for active contacts and reduces
+// the RHS inside the matrix's diagonal segments. A block whose segment
+// interleaves Open and closed contacts exercises both the skipped entries
+// and the load order, on a cold pass and on a warm pass after the states
+// flip under an unchanged structure.
+TEST(Assemble, GpuPlanMatchesSerialWithMixedContactStates) {
+    bl::BlockSystem sys = gdda::models::make_slope_with_blocks(80);
+    const double rho = 0.02 * sys.characteristic_length();
+    const auto pairs = ct::broad_phase_triangular(sys, rho);
+    auto contacts = ct::narrow_phase(sys, pairs, rho).contacts;
+    ASSERT_FALSE(contacts.empty());
+    auto set_states = [&contacts](int shift) {
+        for (std::size_t i = 0; i < contacts.size(); ++i) {
+            const std::size_t k = (i + shift) % 3;
+            contacts[i].state = k == 0   ? ct::ContactState::Open
+                                : k == 1 ? ct::ContactState::Slide
+                                         : ct::ContactState::Lock;
+            contacts[i].slide_sign = 1.0;
+            contacts[i].last_gap = -1e-5;
+        }
+    };
+    set_states(0);
+
+    // Some block must see both an Open and a closed contact.
+    const int n = static_cast<int>(sys.size());
+    std::vector<int> open_at(n, 0), closed_at(n, 0);
+    for (const ct::Contact& c : contacts) {
+        auto& count = c.state == ct::ContactState::Open ? open_at : closed_at;
+        ++count[c.bi];
+        ++count[c.bj];
+    }
+    bool mixed = false;
+    for (int i = 0; i < n; ++i) mixed = mixed || (open_at[i] > 0 && closed_at[i] > 0);
+    ASSERT_TRUE(mixed);
+
+    as::StepParams sp;
+    sp.dt = 1e-3;
+    sp.contact.penalty = 10.0 * sys.max_young();
+    sp.contact.shear_penalty = sp.contact.penalty;
+    sp.fixed_penalty = sp.contact.penalty;
+    const auto att = as::index_attachments(sys);
+    const as::ContactFingerprint fp = as::contact_fingerprint(n, contacts);
+
+    for (int team : {1, 4}) {
+        gdda::par::ScopedTeamSize scope(team);
+        const std::string tag = "team " + std::to_string(team);
+        set_states(0);
+        auto geo = ct::init_all_contacts(sys, contacts);
+        as::GpuAssemblyPlan plan;
+        plan.build(n, contacts);
+        as::DiagPhysicsCache cache;
+
+        const auto cold_ref = as::assemble_serial(sys, att, contacts, geo, sp);
+        as::AssembledSystem cold;
+        plan.assemble_into(cold, sys, att, contacts, geo, sp, nullptr, nullptr, &cache);
+        EXPECT_TRUE(same_bits(cold_ref.k.diag, cold.k.diag)) << "cold diag, " << tag;
+        EXPECT_TRUE(same_bits(cold_ref.k.vals, cold.k.vals)) << "cold vals, " << tag;
+        EXPECT_TRUE(same_bits(cold_ref.f, cold.f)) << "cold f, " << tag;
+
+        set_states(1);
+        ASSERT_EQ(fp, as::contact_fingerprint(n, contacts));
+        geo = ct::init_all_contacts(sys, contacts);
+        const auto warm_ref = as::assemble_serial(sys, att, contacts, geo, sp);
+        as::AssembledSystem warm;
+        plan.assemble_into(warm, sys, att, contacts, geo, sp, nullptr, nullptr, &cache,
+                           /*warm=*/true);
+        EXPECT_TRUE(same_bits(warm_ref.k.diag, warm.k.diag)) << "warm diag, " << tag;
+        EXPECT_TRUE(same_bits(warm_ref.k.vals, warm.k.vals)) << "warm vals, " << tag;
+        EXPECT_TRUE(same_bits(warm_ref.f, warm.f)) << "warm f, " << tag;
+        EXPECT_FALSE(same_bits(cold_ref.f, warm_ref.f)) << "the flip must move the RHS";
     }
 }
 

@@ -233,7 +233,8 @@ TEST(AssemblyPlan, BitIdenticalToReferenceAssembler) {
 
         const auto ref = as::assemble_serial(sys, att, np.contacts, geo, sp);
         const as::AssemblyPlan plan(static_cast<int>(sys.size()), np.contacts);
-        const auto fast = plan.assemble(sys, att, np.contacts, geo, sp);
+        as::AssembledSystem fast;
+        plan.assemble_into(fast, sys, att, np.contacts, geo, sp);
 
         ASSERT_EQ(ref.k.row_ptr, fast.k.row_ptr);
         ASSERT_EQ(ref.k.col_idx, fast.k.col_idx);
