@@ -132,20 +132,16 @@ int main(int argc, char** argv) {
     std::printf("-> %.2fx slower when x gathers bypass the texture cache\n",
                 simt::modeled_ms(no_tex, dev) / simt::modeled_ms(half_cost, dev));
 
-    bench::header("ABLATION 4 -- format: HSBCSR vs ELL vs sliced ELL (sorted)");
-    // The three formats the solve path can actually route through (plus the
-    // classic ELL baseline): same matrix, same x, exact y everywhere — only
-    // the layout and hence the traffic shape differs.
+    bench::header("ABLATION 4 -- format: HSBCSR vs sorted sliced ELL");
+    // The two formats the solve path can route through: same matrix, same
+    // x, exact y everywhere — only the layout and hence the traffic shape
+    // differs.
     const sparse::CsrMatrix c = sparse::csr_from_bsr_full(k);
-    const sparse::EllMatrix ell = sparse::ell_from_csr(c);
     const sparse::SortedSellMatrix ssell = sparse::sorted_sell_from_csr(c, 32);
     const std::vector<double> xf = sparse::flatten(x);
     std::vector<double> yf(xf.size());
 
     const double hsb_cpu = time_cpu_ms([&] { sparse::spmv_hsbcsr(h, x, y, ws); });
-    simt::KernelCost ell_cost;
-    const double ell_cpu = time_cpu_ms([&] { sparse::spmv_ell(ell, xf, yf); });
-    sparse::spmv_ell(ell, xf, yf, &ell_cost);
     simt::KernelCost ssell_cost;
     const double ssell_cpu = time_cpu_ms([&] { sparse::spmv_sorted_sell(ssell, xf, yf); });
     sparse::spmv_sorted_sell(ssell, xf, yf, &ssell_cost);
@@ -154,13 +150,10 @@ int main(int argc, char** argv) {
                 "data KB");
     std::printf("%-22s %14.3f %14.3f %14.1f\n", "HSBCSR", hsb_cpu,
                 simt::modeled_ms(half_cost, dev), h.data_bytes() / 1e3);
-    std::printf("%-22s %14.3f %14.3f %14.1f\n", "ELL", ell_cpu,
-                simt::modeled_ms(ell_cost, dev), ell.data_bytes() / 1e3);
     std::printf("%-22s %14.3f %14.3f %14.1f\n", "SortedSELL", ssell_cpu,
                 simt::modeled_ms(ssell_cost, dev), ssell.data_bytes() / 1e3);
-    std::printf("-> ELL zero-fill %.0f%%, sorted SELL %.0f%% (row sorting collapses "
-                "per-slice padding)\n",
-                100.0 * (double(ell.padded_nnz()) / c.nnz() - 1.0),
+    std::printf("-> sorted SELL zero-fill %.0f%% (row sorting collapses per-slice "
+                "padding)\n",
                 100.0 * (double(ssell.padded_nnz()) / c.nnz() - 1.0));
 
     bench::MetricReport rep("ablation_hsbcsr");
@@ -171,11 +164,8 @@ int main(int argc, char** argv) {
     rep.add("texture_gain",
             simt::modeled_ms(no_tex, dev) / simt::modeled_ms(half_cost, dev));
     rep.add("hsbcsr_cpu_ms", hsb_cpu);
-    rep.add("ell_cpu_ms", ell_cpu);
     rep.add("sorted_sell_cpu_ms", ssell_cpu);
-    rep.add("ell_k40_ms", simt::modeled_ms(ell_cost, dev));
     rep.add("sorted_sell_k40_ms", simt::modeled_ms(ssell_cost, dev));
-    rep.add("ell_fill_pct", 100.0 * (double(ell.padded_nnz()) / c.nnz() - 1.0));
     rep.add("sorted_sell_fill_pct", 100.0 * (double(ssell.padded_nnz()) / c.nnz() - 1.0));
     rep.write();
     return 0;

@@ -49,7 +49,6 @@
 #include "models/large_scene.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
-#include "sched/job.hpp"
 #include "simt/warp_executor.hpp"
 
 using namespace gdda;
@@ -240,7 +239,7 @@ void trajectory_gates(bool short_mode, bench::MetricReport& rep) {
                 cfg.classify_pairs = tc.classify;
                 core::DdaEngine engine(sys, cfg, mode);
                 for (int s = 0; s < steps; ++s) engine.step();
-                const std::uint64_t fp = sched::state_fingerprint(sys);
+                const std::uint64_t fp = block::state_fingerprint(sys);
                 if (&tc == &configs[0]) ref_fp = fp;
                 all_equal = all_equal && fp == ref_fp;
             }

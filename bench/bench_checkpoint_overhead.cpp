@@ -1,6 +1,6 @@
 // bench_checkpoint_overhead — guards the gdda::state checkpointing cost
 // contract: periodic binary snapshots are cheap enough to leave on in a
-// service (docs/STATE.md), and writing them never perturbs the trajectory.
+// long run (docs/STATE.md), and writing them never perturbs the trajectory.
 // The bench runs the identical scene/config/steps three ways —
 //
 //   * checkpointing OFF (plain engine loop),
@@ -47,8 +47,8 @@ std::uint64_t run_off(int steps, double* ms) {
     return block::state_fingerprint(sys);
 }
 
-/// Same run with a periodic checkpoint every kInterval steps (the service
-/// cadence), timed INCLUDING the snapshot encode + atomic file write.
+/// Same run with a periodic checkpoint every kInterval steps, timed
+/// INCLUDING the snapshot encode + atomic file write.
 std::uint64_t run_on(int steps, const std::string& path, double* ms, double* ckpt_ms,
                      int* checkpoints) {
     block::BlockSystem sys = models::make_slope_with_blocks(40);
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
 
     bench::MetricReport rep("checkpoint_overhead");
     rep.add("steps", steps);
-    rep.add("checkpoint_interval", kInterval);
+    rep.add("checkpoint_every_steps", kInterval);
     rep.add("step_ratio_on_off", ratio);
     rep.add("per_checkpoint_ms", per_ckpt_ms);
     rep.add("bitwise_identical", bitwise_ok ? 1.0 : 0.0);

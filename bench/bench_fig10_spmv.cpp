@@ -113,19 +113,9 @@ int main(int argc, char** argv) {
     sparse::spmv_bsr_full(k, x, y, &bsr_cost);
     const std::vector<double> y_bsr = sparse::flatten(y);
 
-    // ELLPACK-family comparators from the related work (section II.B), plus
-    // the row-sorted sliced ELL that backs SimConfig::spmv_backend.
-    const sparse::EllMatrix ell = sparse::ell_from_csr(c);
-    const sparse::SlicedEllMatrix sell = sparse::sliced_ell_from_csr(c, 32);
+    // The row-sorted sliced ELL that backs SimConfig::spmv_backend, the
+    // ELLPACK-family format of the related work (section II.B).
     const sparse::SortedSellMatrix ssell = sparse::sorted_sell_from_csr(c, 32);
-    std::vector<double> y_ell(xf.size());
-    simt::KernelCost ell_cost;
-    const double ell_cpu = time_cpu_ms([&] { sparse::spmv_ell(ell, xf, y_ell); });
-    sparse::spmv_ell(ell, xf, y_ell, &ell_cost);
-    std::vector<double> y_sell(xf.size());
-    simt::KernelCost sell_cost;
-    const double sell_cpu = time_cpu_ms([&] { sparse::spmv_sliced_ell(sell, xf, y_sell); });
-    sparse::spmv_sliced_ell(sell, xf, y_sell, &sell_cost);
     std::vector<double> y_ssell(xf.size());
     simt::KernelCost ssell_cost;
     const double ssell_cpu = time_cpu_ms([&] { sparse::spmv_sorted_sell(ssell, xf, y_ssell); });
@@ -147,8 +137,6 @@ int main(int argc, char** argv) {
     };
     gate("CSR(vector)", y_cus);
     gate("BCSR(full)", y_bsr);
-    gate("ELL", y_ell);
-    gate("SlicedELL", y_sell);
     gate("SortedSELL", y_ssell);
 
     std::printf("\nbuilding ILU(0) factors for the TSS measurement...\n");
@@ -171,13 +159,9 @@ int main(int argc, char** argv) {
     row("SpMV-cuSPARSE(vector)", cus_cpu, cus_cost);
     row("SpMV-CSR(scalar)", -1.0, sca_cost);
     row("SpMV-BCSR(full)", bsr_cpu, bsr_cost);
-    row("SpMV-ELL", ell_cpu, ell_cost);
-    row("SpMV-SlicedELL", sell_cpu, sell_cost);
     row("SpMV-SortedSELL", ssell_cpu, ssell_cost);
     row("TSS (L+U solve)", tss_cpu, tss_cost);
-    std::printf("  (ELL zero-fill: %.0f%%; sliced ELL: %.0f%%; sorted SELL: %.0f%%)\n",
-                100.0 * (double(ell.padded_nnz()) / c.nnz() - 1.0),
-                100.0 * (double(sell.padded_nnz()) / c.nnz() - 1.0),
+    std::printf("  (sorted SELL zero-fill: %.0f%%)\n",
                 100.0 * (double(ssell.padded_nnz()) / c.nnz() - 1.0));
     std::printf("  result-equality gate vs HSBCSR: %s (worst rel diff %.3e, tol %.0e)\n",
                 eq_ok ? "OK" : "FAIL", eq_worst, eq_tol);
@@ -204,15 +188,11 @@ int main(int argc, char** argv) {
     rep.add("hsbcsr_cpu_ms", hsb_cpu);
     rep.add("cusparse_csr_cpu_ms", cus_cpu);
     rep.add("bsr_full_cpu_ms", bsr_cpu);
-    rep.add("ell_cpu_ms", ell_cpu);
-    rep.add("sliced_ell_cpu_ms", sell_cpu);
     rep.add("sorted_sell_cpu_ms", ssell_cpu);
     rep.add("tss_cpu_ms", tss_cpu);
     rep.add("hsbcsr_k40_ms", simt::modeled_ms(hsb_cost, k40));
     rep.add("cusparse_csr_k40_ms", simt::modeled_ms(cus_cost, k40));
     rep.add("bsr_full_k40_ms", simt::modeled_ms(bsr_cost, k40));
-    rep.add("ell_k40_ms", simt::modeled_ms(ell_cost, k40));
-    rep.add("sliced_ell_k40_ms", simt::modeled_ms(sell_cost, k40));
     rep.add("sorted_sell_k40_ms", simt::modeled_ms(ssell_cost, k40));
     rep.add("tss_k40_ms", simt::modeled_ms(tss_cost, k40));
     rep.add("hsbcsr_speedup_k40", speedup_k40);

@@ -97,19 +97,19 @@ void BM_ExclusiveScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ExclusiveScan)->Arg(1 << 16);
 
-void BM_SpmvEll(benchmark::State& state) {
+void BM_SpmvSortedSell(benchmark::State& state) {
     const sparse::BsrMatrix k = cached_matrix(static_cast<int>(state.range(0)));
     const sparse::CsrMatrix c = sparse::csr_from_bsr_full(k);
-    const sparse::EllMatrix e = sparse::ell_from_csr(c);
+    const sparse::SortedSellMatrix s = sparse::sorted_sell_from_csr(c);
     std::vector<double> x(c.rows, 1.0);
     std::vector<double> y(c.rows);
     for (auto _ : state) {
-        sparse::spmv_ell(e, x, y);
+        sparse::spmv_sorted_sell(s, x, y);
         benchmark::DoNotOptimize(y.data());
     }
-    state.SetItemsProcessed(state.iterations() * e.padded_nnz());
+    state.SetItemsProcessed(state.iterations() * s.padded_nnz());
 }
-BENCHMARK(BM_SpmvEll)->Arg(200)->Arg(800);
+BENCHMARK(BM_SpmvSortedSell)->Arg(200)->Arg(800);
 
 void BM_DeviceScan(benchmark::State& state) {
     std::vector<std::uint32_t> in(state.range(0), 5);

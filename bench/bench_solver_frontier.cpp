@@ -23,7 +23,6 @@
 #include "core/engine.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
-#include "sched/job.hpp"
 
 using namespace gdda;
 
@@ -60,7 +59,7 @@ RunOutcome run_model(const std::string& model, core::EngineMode mode,
         out.fp32_iters += st.pcg_fp32_iterations;
         out.fallbacks += st.pcg_mixed_fallbacks;
     }
-    out.fingerprint = sched::state_fingerprint(sys);
+    out.fingerprint = block::state_fingerprint(sys);
     return out;
 }
 

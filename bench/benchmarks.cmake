@@ -20,7 +20,6 @@ gdda_bench(bench_kernels)
 gdda_bench(bench_trace_overhead)
 gdda_bench(bench_metrics_overhead)
 gdda_bench(bench_pipeline_reuse)
-gdda_bench(bench_sched_throughput)
 gdda_bench(bench_solver_scaling)
 gdda_bench(bench_step_scaling)
 gdda_bench(bench_solver_frontier)

@@ -3,14 +3,13 @@
 // with "-") and checks every record against the versioned "gdda.obs.step"
 // schema; with --trace it instead validates an exported Chrome trace file
 // (balanced begin/end pairs, monotonic timestamps, known categories); with
-// --metrics it validates a Prometheus text exposition file written by the
-// gdda::metrics registry; with --postmortem it validates a flight-recorder
-// post-mortem bundle (gdda.metrics.postmortem). Exit status 0 iff
-// everything validates, so it composes in CI:
+// --metrics it validates a Prometheus text exposition file (the text of
+// metrics::Registry::render_prometheus()); with --postmortem it validates a
+// flight-recorder post-mortem bundle (gdda.metrics.postmortem). Exit status
+// 0 iff everything validates, so it composes in CI:
 //
-//   quickstart --telemetry out.jsonl --trace out.trace.json \
-//     && obs_validate out.jsonl && obs_validate --trace out.trace.json
-//   gdda-serve jobs.txt --metrics m.prom && obs_validate --metrics m.prom
+//   quickstart --telemetry out.jsonl --trace out.trace.json &&
+//     obs_validate out.jsonl && obs_validate --trace out.trace.json
 //
 // Usage: obs_validate [--trace | --metrics | --postmortem] <file | -> | --schema
 //   --trace       validate a Chrome trace file (gdda.trace).

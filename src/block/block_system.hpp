@@ -66,8 +66,8 @@ public:
 /// Bitwise fingerprint of a block system's dynamic state: vertex positions,
 /// velocities and stresses of every block, hashed over their raw double bits
 /// (FNV-1a). Two runs agree on this iff their trajectories are bit-identical
-/// — the determinism oracle used by the scheduler contract, the checkpoint
-/// tests, and the metrics observer-only guarantee.
+/// — the determinism oracle used by the thread-count and snapshot-resume
+/// gates and the metrics observer-only guarantee.
 [[nodiscard]] std::uint64_t state_fingerprint(const BlockSystem& sys);
 
 } // namespace gdda::block

@@ -90,10 +90,9 @@ struct SimConfig {
     /// Worker threads for the WHOLE step pipeline: broad phase, narrow
     /// phase, pair-cache revalidation, contact transfer, assembly refill,
     /// and the solve hot path (SpMV stages, BLAS-1, fused PCG passes) all
-    /// inherit this one team. 0 inherits the ambient OpenMP setting capped
-    /// by any scheduler-installed thread budget (par::thread_cap); N > 0
-    /// requests an explicit team of N, still clamped to the hardware and to
-    /// the budget. Every value produces bit-identical results — every
+    /// inherit this one team. 0 inherits the ambient OpenMP setting; N > 0
+    /// requests an explicit team of N, honored as asked (oversubscription
+    /// included). Every value produces bit-identical results — every
     /// parallel stage fixes its emission/summation order independently of
     /// the team size — so this knob trades latency against throughput,
     /// never answers (docs/PERFORMANCE.md, "CPU execution backend").
@@ -105,13 +104,6 @@ struct SimConfig {
     /// only numerics. Warm passes are bitwise identical to cold ones; off
     /// forces the cold path every pass (debugging / A-B comparison).
     bool reuse_structure = true;
-
-    /// Periodic checkpointing (the gdda::state subsystem): when > 0, a
-    /// scheduler job with a checkpoint path snapshots its engine every N
-    /// completed steps (and once more at the end). 0 disables periodic
-    /// snapshots. Observer-only: the trajectory is bitwise identical with
-    /// checkpointing on or off. See docs/STATE.md.
-    int checkpoint_interval = 0;
 
     /// Throws std::invalid_argument describing the first nonsensical field
     /// (non-positive or inverted dt bounds, ratios outside meaningful
@@ -151,7 +143,7 @@ struct StepStats {
     int pcg_solves = 0;      ///< linear solves performed (open-close passes)
     /// Of pcg_solves, how many exited without reaching tolerance. Nonzero
     /// means a displacement increment was committed from an unconverged
-    /// solve — surfaced in metrics/telemetry and by `gdda-serve --verify`.
+    /// solve — surfaced in metrics and telemetry.
     int pcg_failed_solves = 0;
     int retries = 0;
     /// Mixed-precision accounting (zero under PcgPrecision::Fp64): fp64

@@ -45,8 +45,6 @@ void SimConfig::validate() const {
         throw std::invalid_argument("SimConfig: pcg.refine_min_progress must be in (0, 1)");
     if (step_threads < 0)
         throw std::invalid_argument("SimConfig: step_threads must be >= 0");
-    if (checkpoint_interval < 0)
-        throw std::invalid_argument("SimConfig: checkpoint_interval must be >= 0");
     if (broad_phase_cell < 0.0)
         throw std::invalid_argument("SimConfig: broad_phase_cell must be >= 0");
     if (!(pair_cache_margin > 0.0))
@@ -126,8 +124,8 @@ void DdaEngine::attach_tracer(std::shared_ptr<trace::Tracer> tracer) {
     tracer_ = std::move(tracer);
     // The engine's tracer owns the CALLING THREAD's kernel hook; step()
     // re-installs it so the hook follows the thread actually stepping even
-    // when the engine was constructed elsewhere (sched workers rely on the
-    // per-thread slot for isolation between concurrent engines).
+    // when the engine was constructed elsewhere (the per-thread slot keeps
+    // concurrent engines on different threads isolated).
     if (tracer_) tracer_->install_kernel_hook();
 }
 
@@ -522,7 +520,7 @@ StepStats DdaEngine::step() {
     // every parallel stage (broad/narrow phase, pair-cache revalidation,
     // assembly refill, SpMV stages, BLAS-1, fused PCG passes) sizes its
     // teams from the thread budget, and the budget is thread-local so
-    // concurrent engines on scheduler workers never see each other's knobs.
+    // concurrent engines on other threads never see each other's knobs.
     par::ScopedTeamSize step_team(cfg_.step_threads);
     trace::Span step_span(tracer_.get(), trace::Category::Step, "step");
     if (!recorder_ && !metrics_) {

@@ -36,11 +36,6 @@ public:
         for (double s : seconds_) t += s;
         return t;
     }
-    /// Fold another engine's timers into this one (fleet aggregation: each
-    /// sched worker times its own engine, the batch report merges).
-    void merge(const ModuleTimers& o) {
-        for (int m = 0; m < kModuleCount; ++m) seconds_[m] += o.seconds_[m];
-    }
     void reset() { seconds_.fill(0.0); }
 
 private:
@@ -128,13 +123,6 @@ public:
         double t = 0.0;
         for (const auto& l : ledgers_) t += l.modeled_ms_on(dev);
         return t;
-    }
-    /// Fold another engine's ledgers into this one. Accumulation during a
-    /// run stays strictly per-engine (each worker's engine owns its ledgers);
-    /// cross-engine totals only ever come from this explicit merge, which is
-    /// what keeps concurrent batches bit-identical to the sum of solo runs.
-    void merge(const ModuleLedgers& o) {
-        for (int m = 0; m < kModuleCount; ++m) ledgers_[m].add(o.ledgers_[m].total());
     }
     /// Sum of all module ledgers (explicit cross-module merge).
     [[nodiscard]] simt::KernelCost merged_total() const {

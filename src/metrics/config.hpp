@@ -49,9 +49,8 @@ struct MetricsConfig {
     /// post-mortem bundle.
     std::size_t flight_recorder_capacity = 32;
     /// When non-empty, a post-mortem bundle is written into this directory
-    /// when health goes Critical (once per engine) and when a scheduled job
-    /// ends Failed/DeadlineExceeded. Empty keeps the flight recorder purely
-    /// in-memory.
+    /// when health goes Critical (once per engine). Empty keeps the flight
+    /// recorder purely in-memory.
     std::string postmortem_dir;
 };
 

@@ -134,7 +134,7 @@ void EngineObserver::on_step(const obs::StepRecord& rec, const StepContext& ctx)
         if (v.grade == HealthGrade::Critical) {
             health_events_critical_total_->inc();
             // First Critical verdict dumps a bundle (once per engine): this
-            // is the "job is dying" artifact even when nothing throws.
+            // is the "run is dying" artifact even when nothing throws.
             if (!critical_dumped_ && !cfg_.postmortem_dir.empty()) {
                 critical_dumped_ = true;
                 dump_postmortem("health_critical", v.rule + ": " + v.detail,
@@ -152,14 +152,11 @@ bool EngineObserver::dump_postmortem(const std::string& reason, const std::strin
         return false;
     }
     PostmortemContext ctx;
-    ctx.job = job_;
     ctx.mode = mode_;
     ctx.reason = reason;
     ctx.error = error;
-    ctx.device = device_;
+    ctx.device = "k40";
     ctx.state_fingerprint = fingerprint;
-    ctx.checkpoint_path = checkpoint_path_;
-    ctx.checkpoint_step = checkpoint_step_;
     ctx.config = config_json_;
     ctx.recorder = &flight_;
     ctx.health = cfg_.health ? &health_ : nullptr;

@@ -2,8 +2,7 @@
 // The per-engine metrics observer: DdaEngine::step() hands it each finished
 // obs::StepRecord (plus a read-only context) and it fans out to the live
 // registry, the health watchdog, and the flight-recorder ring. Mirrors the
-// obs::Recorder attachment idiom — the engine owns a shared_ptr and the
-// scheduler can reach through to label/dump it.
+// obs::Recorder attachment idiom — the engine owns a shared_ptr.
 //
 // Observer-only contract: on_step reads the record and the context, writes
 // atomics, and never touches simulation state. Bitwise trajectory identity
@@ -65,21 +64,8 @@ public:
 
     void on_step(const obs::StepRecord& rec, const StepContext& ctx);
 
-    /// Identity stamped into bundles; the scheduler sets the job name on
-    /// the worker thread before the first step.
-    void set_job(std::string job) { job_ = std::move(job); }
-    void set_device(std::string device) { device_ = std::move(device); }
     /// Engine-serialized SimConfig summary embedded in every bundle.
     void set_config_json(obs::JsonValue config) { config_json_ = std::move(config); }
-    /// Most recent checkpoint of the observed job; the scheduler updates it
-    /// after every snapshot write so post-mortem bundles name the exact
-    /// resume point (docs/STATE.md).
-    void set_checkpoint(std::string path, int step) {
-        checkpoint_path_ = std::move(path);
-        checkpoint_step_ = step;
-    }
-    [[nodiscard]] const std::string& checkpoint_path() const { return checkpoint_path_; }
-    [[nodiscard]] int checkpoint_step() const { return checkpoint_step_; }
 
     [[nodiscard]] const MetricsConfig& config() const { return cfg_; }
     [[nodiscard]] const HealthMonitor& health() const { return health_; }
@@ -98,8 +84,6 @@ public:
 private:
     MetricsConfig cfg_;
     std::string mode_;
-    std::string job_;
-    std::string device_ = "k40";
     obs::JsonValue config_json_ = obs::JsonValue::object();
     Registry* reg_;
     HealthMonitor health_;
@@ -107,8 +91,6 @@ private:
     obs::Aggregator ledger_; ///< cumulative module/kernel totals for bundles
     bool critical_dumped_ = false;
     std::string postmortem_path_;
-    std::string checkpoint_path_;
-    int checkpoint_step_ = 0;
 
     // Cached instrument handles (resolved once in the constructor).
     Counter* steps_total_;

@@ -75,14 +75,6 @@ obs::JsonValue build_postmortem(const PostmortemContext& ctx) {
     doc.set("reason", obs::JsonValue::string(ctx.reason));
     if (!ctx.error.empty()) doc.set("error", obs::JsonValue::string(ctx.error));
     doc.set("state_fingerprint", obs::JsonValue::string(fingerprint_hex(ctx.state_fingerprint)));
-    if (!ctx.checkpoint_path.empty()) {
-        // Actionable recovery pointer: resume this job from here instead of
-        // step 0 (gdda-serve --resume, docs/STATE.md).
-        obs::JsonValue ckpt = obs::JsonValue::object();
-        ckpt.set("path", obs::JsonValue::string(ctx.checkpoint_path));
-        ckpt.set("step", obs::JsonValue::integer(ctx.checkpoint_step));
-        doc.set("checkpoint", std::move(ckpt));
-    }
     doc.set("config", ctx.config);
 
     obs::JsonValue records = obs::JsonValue::array();

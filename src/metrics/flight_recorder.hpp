@@ -2,7 +2,7 @@
 // Failure flight recorder: a bounded ring of the last-N obs::StepRecords
 // plus the post-mortem bundle builder. The ring rides the step path (one
 // record copy per step, no allocation once warm); the bundle is assembled
-// only at dump time — when a job dies or health goes Critical — so the
+// only at dump time — when health goes Critical — so the
 // happy path pays nothing for diagnosability.
 //
 // Bundle schema: gdda.metrics.postmortem v1 (documented in
@@ -45,17 +45,12 @@ private:
 /// config and health as required, so engine-produced bundles always carry
 /// them).
 struct PostmortemContext {
-    std::string job;    ///< scheduler job name ("" for a bare engine)
+    std::string job;    ///< run label ("" for an engine's own bundles)
     std::string mode;   ///< "serial" | "gpu"
-    std::string reason; ///< "failed" | "deadline_exceeded" | "health_critical"
-    std::string error;  ///< exception text for reason=="failed"
+    std::string reason; ///< why the bundle was written, e.g. "health_critical"
+    std::string error;  ///< human-readable cause (the failing health rule)
     std::string device; ///< modeled device profile name
-    std::uint64_t state_fingerprint = 0; ///< 0 when the state died with the job
-    /// Most recent checkpoint of the job ("" = job was not checkpointed).
-    /// Makes a post-mortem directly actionable into a resume: the bundle
-    /// names the snapshot file and the step it holds.
-    std::string checkpoint_path;
-    int checkpoint_step = 0;
+    std::uint64_t state_fingerprint = 0; ///< 0 when the state is unavailable
     obs::JsonValue config = obs::JsonValue::object(); ///< engine SimConfig summary
     const FlightRecorder* recorder = nullptr;
     const HealthMonitor* health = nullptr;

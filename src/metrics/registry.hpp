@@ -95,7 +95,7 @@ enum class MetricKind { Counter, Gauge, Histogram };
 [[nodiscard]] std::string_view metric_kind_name(MetricKind k);
 
 /// Thread-safe family/series registry. Lookup is mutex-guarded and intended
-/// to happen once per engine/scheduler construction; the returned instrument
+/// to happen once per engine construction; the returned instrument
 /// references stay valid for the registry's lifetime.
 class Registry {
 public:

@@ -301,8 +301,9 @@ PostmortemValidation validate_postmortem(const obs::JsonValue& doc) {
             return fail("record " + std::to_string(res.records) + ": " + err);
         ++res.records;
     }
-    // Optional recovery pointer (present iff the job was checkpointed):
-    // must name a non-empty path and a non-negative step when it appears.
+    // Optional recovery pointer: the engine never writes one, but a bundle
+    // from another producer may. It must name a non-empty path and a
+    // non-negative step when it appears.
     if (const obs::JsonValue* ckpt = doc.find("checkpoint")) {
         if (!ckpt->is_object()) return fail("checkpoint is not an object");
         const obs::JsonValue* cpath = ckpt->find("path");

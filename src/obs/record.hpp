@@ -76,7 +76,7 @@ struct StepRecord {
     int pcg_solves = 0;
     int pcg_iterations = 0; ///< summed over open-close passes
     /// Of pcg_solves, how many exited without reaching tolerance (silent
-    /// solver failures — surfaced in metrics and `gdda-serve --verify`).
+    /// solver failures — surfaced in metrics and telemetry).
     int pcg_failed_solves = 0;
     /// Mixed-precision accounting (all zero under the strict fp64 policy):
     /// fp64 refinement passes, fp32 inner iterations, and solves that fell

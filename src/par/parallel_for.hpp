@@ -3,10 +3,8 @@
 // Backed by OpenMP when available; the loop body must be race-free across
 // indices, exactly like a CUDA grid-stride kernel body.
 //
-// Team width comes from the per-thread budget in thread_budget.hpp (engine
-// request clamped by the scheduler cap, falling back to the ambient OpenMP
-// default), so a sched::Scheduler worker and a latency-mode single engine
-// can share one binary without oversubscribing the host. The `grain`
+// Team width comes from the per-thread budget in thread_budget.hpp (the
+// engine's request, falling back to the ambient OpenMP default). The `grain`
 // parameter is the minimum number of indices worth one thread's dispatch:
 // loops smaller than two grains fall through to the plain serial loop so
 // tiny scenes never pay the OpenMP fork/join overhead.

@@ -10,7 +10,6 @@
 namespace gdda::par {
 
 namespace {
-thread_local int g_cap = 0;
 thread_local int g_team = 0;
 } // namespace
 
@@ -18,9 +17,6 @@ int hardware_concurrency() {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
-
-void set_thread_cap(int cap) { g_cap = std::max(cap, 0); }
-int thread_cap() { return g_cap; }
 
 void set_team_size(int team) { g_team = std::max(team, 0); }
 int team_size() { return g_team; }
@@ -39,15 +35,7 @@ int effective_team() {
         t = 1;
 #endif
     }
-    if (g_cap > 0) t = std::min(t, g_cap);
     return std::max(t, 1);
-}
-
-int negotiate_inner_threads(int workers, int requested) {
-    const int lanes = std::max(workers, 1);
-    const int fair = std::max(hardware_concurrency() / lanes, 1);
-    if (requested <= 0) return fair;           // auto: split the machine evenly
-    return std::min(requested, std::max(fair, 1));
 }
 
 ScopedTeamSize::ScopedTeamSize(int team) : previous_(g_team), installed_(team > 0) {
@@ -57,9 +45,5 @@ ScopedTeamSize::ScopedTeamSize(int team) : previous_(g_team), installed_(team > 
 ScopedTeamSize::~ScopedTeamSize() {
     if (installed_) g_team = previous_;
 }
-
-ScopedThreadCap::ScopedThreadCap(int cap) : previous_(g_cap) { set_thread_cap(cap); }
-
-ScopedThreadCap::~ScopedThreadCap() { g_cap = previous_; }
 
 } // namespace gdda::par

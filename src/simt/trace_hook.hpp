@@ -8,8 +8,7 @@
 // per-launch visibility that the aggregated CostLedger totals cannot provide.
 //
 // The slot is thread-local so N engines stepping concurrently on N worker
-// threads each capture exactly their own launches (gdda::sched relies on
-// this); an engine re-installs its tracer's hook at the top of step(), so
+// threads each capture exactly their own launches; an engine re-installs its tracer's hook at the top of step(), so
 // stepping an engine from a thread other than the one that constructed it
 // still records correctly.
 

@@ -131,9 +131,10 @@ private:
 
 // ---------------------------------------------------------------------------
 // SimConfig codec: the full stored knob set, fixed order. The config rides
-// in the payload so a snapshot is replayable standalone (gdda-serve --resume
-// reconstructs the job's physics from the manifest, then restore_engine
-// cross-checks it against this stored copy via the header fingerprint).
+// in the payload so a snapshot is replayable standalone (run_model
+// --checkpoint-in builds its engine from the command line, then
+// restore_engine cross-checks it against this stored copy via the header
+// fingerprint).
 
 void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.f64(c.dt);
@@ -159,7 +160,6 @@ void write_config(ByteWriter& w, const core::SimConfig& c) {
     w.u8(static_cast<std::uint8_t>(c.spmv_backend));
     w.i32(c.step_threads);
     w.u8(c.reuse_structure ? 1 : 0);
-    w.i32(c.checkpoint_interval);
     w.i32(c.pcg.max_iters);
     w.f64(c.pcg.rel_tol);
     w.f64(c.pcg.abs_tol);
@@ -195,7 +195,6 @@ core::SimConfig read_config(ByteReader& r) {
     c.spmv_backend = r.enumerator(core::SpmvBackend::SlicedEll, "SpMV backend");
     c.step_threads = r.i32();
     c.reuse_structure = r.u8() != 0;
-    c.checkpoint_interval = r.i32();
     c.pcg.max_iters = r.i32();
     c.pcg.rel_tol = r.f64();
     c.pcg.abs_tol = r.f64();

@@ -29,8 +29,9 @@ namespace gdda::state {
 
 /// On-disk schema version. Bump on any layout change; the reader rejects
 /// every other version with UnsupportedVersion. Version 2 dropped the
-/// unfused-PCG and warm-start-policy bytes from the config block.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// unfused-PCG and warm-start-policy bytes from the config block; version 3
+/// dropped the checkpoint-interval field.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Leading file magic ("GDDASNAP", 8 bytes, no terminator on disk).
 inline constexpr char kSnapshotMagic[9] = "GDDASNAP";
@@ -95,7 +96,7 @@ struct EngineSnapshot {
 /// mixed-precision knobs). Deliberately EXCLUDES knobs with proven
 /// bitwise-identity contracts or observer-only roles: broad-phase
 /// backend/cell/cache, pair classification, step_threads, reuse_structure,
-/// checkpoint_interval, telemetry/trace/metrics.
+/// telemetry/trace/metrics.
 [[nodiscard]] std::uint64_t config_fingerprint(const core::SimConfig& cfg);
 
 /// Capture a complete snapshot of a live engine (observer-only; the engine

@@ -73,9 +73,9 @@ Profile Profile::from_events(const std::vector<Event>& events) {
     std::map<std::pair<std::string, int>, KernelRow> rows;
 
     // Open-span bookkeeping for the tree replay, one stack per emitting
-    // thread lane (Event::tid): spans from different sched workers interleave
+    // thread lane (Event::tid): spans from different threads interleave
     // in the ring but only nest within their own lane. All lanes share one
-    // tree — the loop view aggregates over workers. Only the top node's
+    // tree — the loop view aggregates over threads. Only the top node's
     // children vector ever mutates while it is on a stack, so raw pointers
     // into the tree stay valid for every stacked ancestor.
     struct Open {

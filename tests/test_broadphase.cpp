@@ -22,7 +22,6 @@
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
 #include "models/tunnel.hpp"
-#include "sched/job.hpp"
 
 namespace ct = gdda::contact;
 namespace bl = gdda::block;
@@ -332,7 +331,7 @@ std::uint64_t trajectory_fp(core::BroadPhase backend, bool cache, bool classify,
     cfg.classify_pairs = classify;
     core::DdaEngine engine(sys, cfg, mode);
     for (int s = 0; s < steps; ++s) engine.step();
-    return gdda::sched::state_fingerprint(sys);
+    return bl::state_fingerprint(sys);
 }
 } // namespace
 

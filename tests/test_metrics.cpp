@@ -23,7 +23,6 @@
 #include "metrics/validate.hpp"
 #include "models/slope.hpp"
 #include "models/stacks.hpp"
-#include "sched/scheduler.hpp"
 
 using namespace gdda;
 
@@ -458,6 +457,34 @@ TEST(MetricsEngine, ObserverPopulatesRegistry) {
     EXPECT_TRUE(val) << val.error;
 }
 
+TEST(MetricsEngine, ExpositionFileValidatesLikeTheString) {
+    metrics::Registry::global().reset_values();
+    core::SimConfig cfg = small_cfg();
+    cfg.metrics.enabled = true;
+    block::BlockSystem sys = models::make_column(4);
+    core::DdaEngine eng(sys, cfg, core::EngineMode::Serial);
+    for (int s = 0; s < 3; ++s) eng.step();
+
+    // The on-disk path (obs_validate --metrics) must read exactly what the
+    // in-memory validator reads from the same rendered exposition.
+    const std::string text = metrics::Registry::global().render_prometheus();
+    std::istringstream in(text);
+    const metrics::ExpositionValidation from_string = metrics::validate_exposition(in);
+    ASSERT_TRUE(from_string) << from_string.error;
+    ASSERT_GT(from_string.families, 0);
+
+    const std::string path = ::testing::TempDir() + "gdda_metrics_exposition.prom";
+    {
+        std::ofstream out(path, std::ios::out | std::ios::trunc);
+        ASSERT_TRUE(out) << path;
+        out << text;
+    }
+    const metrics::ExpositionValidation from_file = metrics::validate_exposition_file(path);
+    EXPECT_TRUE(from_file) << from_file.error;
+    EXPECT_EQ(from_file.families, from_string.families);
+    std::filesystem::remove(path);
+}
+
 TEST(MetricsEngine, GpuModeKernelLaunchCountsMatchLedgers) {
     metrics::Registry::global().reset_values();
     core::SimConfig cfg = small_cfg();
@@ -572,115 +599,4 @@ TEST(MetricsEngine, ConfigValidationRejectsNonsense) {
     cfg.metrics.rules.pcg_fail_warn_streak = 2;
     cfg.metrics.rules.penetration_critical_ratio = 0.001; // below warn ratio
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
-// ------------------------------------------------------ scheduler integration
-
-TEST(MetricsSched, SchedulerInstrumentsAndFailureBundle) {
-    metrics::Registry::global().reset_values();
-    const std::string dir = ::testing::TempDir() + "gdda_pm_sched";
-    std::filesystem::remove_all(dir);
-
-    sched::Job good;
-    good.name = "good";
-    good.scene = [] { return models::make_column(4); };
-    good.steps = 3;
-    good.config.metrics.enabled = true;
-    good.config.metrics.postmortem_dir = dir;
-
-    sched::Job doomed = good;
-    doomed.name = "doomed";
-    doomed.fail_after = 2; // fault injection: throws after step 2
-    doomed.max_retries = 1;
-
-    sched::SchedulerConfig cfg;
-    cfg.workers = 2;
-    const sched::BatchReport report =
-        sched::Scheduler::run_batch({good, doomed}, cfg);
-
-    ASSERT_EQ(report.jobs.size(), 2u);
-    const sched::JobResult& ok = report.jobs[0];
-    const sched::JobResult& bad = report.jobs[1];
-    EXPECT_EQ(ok.state, sched::JobState::Done);
-    EXPECT_TRUE(ok.postmortem_path.empty());
-    EXPECT_EQ(bad.state, sched::JobState::Failed);
-    EXPECT_EQ(bad.attempts, 2) << "fail_after fails every attempt";
-    EXPECT_NE(bad.error.find("fault injection"), std::string::npos) << bad.error;
-
-    // The failed job left a validating bundle with its last steps.
-    ASSERT_FALSE(bad.postmortem_path.empty());
-    const metrics::PostmortemValidation val =
-        metrics::validate_postmortem_file(bad.postmortem_path);
-    ASSERT_TRUE(val) << val.error;
-    EXPECT_EQ(val.records, 2) << "ring holds the steps completed before the throw";
-
-    obs::JsonValue doc;
-    std::string err;
-    std::ifstream in(bad.postmortem_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    ASSERT_TRUE(obs::JsonValue::parse(buf.str(), doc, &err)) << err;
-    EXPECT_EQ(doc.find("reason")->as_string(), "failed");
-    EXPECT_EQ(doc.find("job")->as_string(), "doomed");
-
-    // Scheduler-level instruments counted both jobs and every engine step.
-    metrics::Registry& reg = metrics::Registry::global();
-    EXPECT_EQ(reg.counter("gdda_sched_jobs_total", "", {{"state", "done"}}).value(), 1u);
-    EXPECT_EQ(reg.counter("gdda_sched_jobs_total", "", {{"state", "failed"}}).value(), 1u);
-    // good: 3 steps; doomed: 2 steps x 2 attempts.
-    EXPECT_EQ(reg.counter("gdda_sched_steps_total").value(), 7u);
-    EXPECT_DOUBLE_EQ(reg.gauge("gdda_sched_busy_workers").value(), 0.0);
-
-    // Batch report surfaces the bundle path and the schema carries it.
-    const obs::JsonValue batch = report.to_json();
-    EXPECT_EQ(static_cast<int>(batch.find("version")->as_number()), 3);
-    ASSERT_NE(batch.find("jobs")->items()[1].find("postmortem_path"), nullptr);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(MetricsSched, DeadlineExceededDumpsWithLiveFingerprint) {
-    const std::string dir = ::testing::TempDir() + "gdda_pm_deadline";
-    std::filesystem::remove_all(dir);
-
-    sched::Job slow;
-    slow.name = "slow";
-    slow.scene = [] { return models::make_column(4); };
-    slow.steps = 100000;
-    slow.deadline_ms = 1.0; // expires after a handful of steps at most
-    slow.config.metrics.enabled = true;
-    slow.config.metrics.postmortem_dir = dir;
-
-    const sched::BatchReport report = sched::Scheduler::run_batch({slow});
-    ASSERT_EQ(report.jobs.size(), 1u);
-    const sched::JobResult& r = report.jobs[0];
-    ASSERT_EQ(r.state, sched::JobState::DeadlineExceeded);
-    ASSERT_FALSE(r.postmortem_path.empty());
-    const metrics::PostmortemValidation val =
-        metrics::validate_postmortem_file(r.postmortem_path);
-    EXPECT_TRUE(val) << val.error;
-
-    obs::JsonValue doc;
-    std::string err;
-    std::ifstream in(r.postmortem_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    ASSERT_TRUE(obs::JsonValue::parse(buf.str(), doc, &err)) << err;
-    EXPECT_EQ(doc.find("reason")->as_string(), "deadline_exceeded");
-    if (r.steps_done > 0)
-        EXPECT_NE(doc.find("state_fingerprint")->as_string(), "0000000000000000")
-            << "deadline kill leaves the state alive to fingerprint";
-    std::filesystem::remove_all(dir);
-}
-
-TEST(MetricsSched, SchedulerRunsBitwiseIdenticalWithMetricsOn) {
-    const auto run = [](bool metrics_on) {
-        sched::Job j;
-        j.name = "fp";
-        j.scene = [] { return models::make_column(5); };
-        j.steps = 10;
-        j.config.metrics.enabled = metrics_on;
-        const sched::BatchReport rep = sched::Scheduler::run_batch({j});
-        return rep.jobs.at(0).state_hash;
-    };
-    EXPECT_EQ(run(false), run(true));
 }

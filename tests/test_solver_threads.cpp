@@ -3,7 +3,7 @@
 // SpMV, PCG solve, and full engine trajectory produces the SAME bits for ANY
 // solver team size — 1, 2, 4, or 8 threads, oversubscribed or not — because
 // the summation order is a pure function of the problem size. Also covers
-// the thread-budget arbiter rules, the parallel_for grain fallthrough, and
+// the thread-budget rules, the parallel_for grain fallthrough, and
 // the zero warm-start SpMV skip algebra.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -20,8 +19,6 @@
 #include "par/deterministic_reduce.hpp"
 #include "par/parallel_for.hpp"
 #include "par/thread_budget.hpp"
-#include "sched/manifest.hpp"
-#include "sched/scheduler.hpp"
 #include "solver/pcg.hpp"
 #include "solver/preconditioner.hpp"
 #include "solver/vector_ops.hpp"
@@ -62,25 +59,7 @@ void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Thread-budget arbiter
-
-TEST(ThreadBudget, NegotiateKeepsWorkersTimesInnerWithinHost) {
-    const int hw = par::hardware_concurrency();
-    ASSERT_GE(hw, 1);
-    // Auto (0): split the machine evenly, never below one thread.
-    EXPECT_EQ(par::negotiate_inner_threads(1, 0), hw);
-    EXPECT_EQ(par::negotiate_inner_threads(hw, 0), 1);
-    EXPECT_EQ(par::negotiate_inner_threads(4 * hw, 0), 1);
-    // Explicit requests are clamped to the fair share.
-    EXPECT_EQ(par::negotiate_inner_threads(2, 1), 1);
-    EXPECT_EQ(par::negotiate_inner_threads(1, 1000000), hw);
-    for (int workers = 1; workers <= 2 * hw; ++workers) {
-        const int inner = par::negotiate_inner_threads(workers, 0);
-        EXPECT_GE(inner, 1);
-        EXPECT_LE(workers * inner, std::max(workers, hw))
-            << "workers=" << workers << " must not oversubscribe";
-    }
-}
+// Thread budget
 
 TEST(ThreadBudget, ScopedTeamInstallsAndRestores) {
     ASSERT_EQ(par::team_size(), 0) << "test assumes no ambient team request";
@@ -95,18 +74,10 @@ TEST(ThreadBudget, ScopedTeamInstallsAndRestores) {
         EXPECT_EQ(par::team_size(), 4);
         par::ScopedTeamSize noop(0); // 0 = leave the current setting untouched
         EXPECT_EQ(par::team_size(), 4);
+        par::ScopedTeamSize wide(8);
+        EXPECT_EQ(par::effective_team(), 8) << "explicit requests may oversubscribe";
     }
     EXPECT_EQ(par::team_size(), 0);
-}
-
-TEST(ThreadBudget, CapClampsExplicitTeams) {
-    par::ScopedTeamSize team(8);
-    EXPECT_EQ(par::effective_team(), 8) << "explicit requests may oversubscribe";
-    {
-        par::ScopedThreadCap cap(2);
-        EXPECT_EQ(par::effective_team(), 2) << "scheduler cap bounds the team";
-    }
-    EXPECT_EQ(par::effective_team(), 8);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,7 +439,7 @@ TEST(EngineThreads, TrajectoryBitsInvariantAcrossSolverThreads) {
             cfg.step_threads = 0; // ambient
             core::DdaEngine engine(sys, cfg, mode);
             for (int s = 0; s < 20; ++s) engine.step();
-            baseline = sched::state_fingerprint(sys);
+            baseline = block::state_fingerprint(sys);
         }
         for (int threads : kTeams) {
             block::BlockSystem sys = models::make_column(6);
@@ -476,63 +447,9 @@ TEST(EngineThreads, TrajectoryBitsInvariantAcrossSolverThreads) {
             cfg.step_threads = threads;
             core::DdaEngine engine(sys, cfg, mode);
             for (int s = 0; s < 20; ++s) engine.step();
-            EXPECT_EQ(baseline, sched::state_fingerprint(sys))
+            EXPECT_EQ(baseline, block::state_fingerprint(sys))
                 << "mode " << (mode == core::EngineMode::Gpu ? "gpu" : "serial")
                 << " step_threads " << threads;
         }
     }
-}
-
-TEST(SchedulerThreads, LatencyAndThroughputModesBitwiseIdentical) {
-    auto make_jobs = [] {
-        std::vector<sched::Job> jobs;
-        for (core::EngineMode mode : {core::EngineMode::Serial, core::EngineMode::Gpu}) {
-            sched::Job j;
-            j.name = mode == core::EngineMode::Gpu ? "col-gpu" : "col-serial";
-            j.scene = [] { return models::make_column(5); };
-            j.mode = mode;
-            j.steps = 4;
-            jobs.push_back(std::move(j));
-        }
-        return jobs;
-    };
-    auto hashes = [](const sched::BatchReport& r) {
-        std::vector<std::uint64_t> h;
-        for (const auto& j : r.jobs) h.push_back(j.state_hash);
-        return h;
-    };
-
-    sched::SchedulerConfig throughput;
-    throughput.workers = 2;
-    throughput.inner_threads = 1; // classic one-job-one-core pinning
-    const auto pinned = hashes(sched::Scheduler::run_batch(make_jobs(), throughput));
-
-    sched::SchedulerConfig latency;
-    latency.workers = 1;
-    latency.inner_threads = 0; // negotiate: the single worker gets the host
-    const auto wide = hashes(sched::Scheduler::run_batch(make_jobs(), latency));
-
-    EXPECT_EQ(pinned, wide) << "arbiter modes must not change trajectories";
-
-    // And both must match direct engine loops on this thread.
-    std::vector<std::uint64_t> solo;
-    for (const sched::Job& j : make_jobs()) {
-        block::BlockSystem sys = j.scene();
-        core::DdaEngine engine(sys, j.config, j.mode);
-        for (int s = 0; s < j.steps; ++s) engine.step();
-        solo.push_back(sched::state_fingerprint(sys));
-    }
-    EXPECT_EQ(pinned, solo);
-}
-
-TEST(ManifestThreads, ThreadsKeyFlowsIntoSimConfig) {
-    std::istringstream in("heavy floor 3 threads=4\nauto floor 2\n");
-    const auto jobs = sched::parse_manifest(in, {});
-    ASSERT_EQ(jobs.size(), 2u);
-    // threads= now names the whole-step team (contact + assembly + solve).
-    EXPECT_EQ(jobs[0].config.step_threads, 4);
-    EXPECT_EQ(jobs[1].config.step_threads, 0);
-
-    std::istringstream bad("broken floor 3 threads=-2\n");
-    EXPECT_THROW(sched::parse_manifest(bad, {}), std::invalid_argument);
 }

@@ -263,51 +263,6 @@ TEST(Spmv, HsbcsrStorageIsHalfOfFull) {
     EXPECT_GT(c.nnz(), 0u);
 }
 
-TEST(Ell, RoundStructure) {
-    // 8 block rows = 48 scalar rows: divisible by the slice height, so the
-    // sliced format can only reduce padding (per-slice width <= global max;
-    // a ragged final slice would add row padding instead).
-    const sp::BsrMatrix a = random_spd_bsr(8, 8, 50);
-    const sp::CsrMatrix c = sp::csr_from_bsr_full(a);
-    const sp::EllMatrix e = sp::ell_from_csr(c);
-    EXPECT_EQ(e.rows, c.rows);
-    EXPECT_GE(e.padded_nnz(), c.nnz());
-    const sp::SlicedEllMatrix s8 = sp::sliced_ell_from_csr(c, 8);
-    EXPECT_LE(s8.padded_nnz(), e.padded_nnz());
-    EXPECT_GE(s8.padded_nnz(), c.nnz());
-}
-
-TEST(Ell, SpmvMatchesCsr) {
-    for (unsigned seed : {60u, 61u, 62u}) {
-        const sp::BsrMatrix a = random_spd_bsr(9 + seed % 5, 14, seed);
-        const sp::CsrMatrix c = sp::csr_from_bsr_full(a);
-        const sp::EllMatrix e = sp::ell_from_csr(c);
-        const sp::SlicedEllMatrix s = sp::sliced_ell_from_csr(c, 8);
-        std::vector<double> x(c.rows);
-        for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.3 * (i % 7) - 1.0;
-        std::vector<double> y_ref(c.rows);
-        std::vector<double> y_e(c.rows);
-        std::vector<double> y_s(c.rows);
-        sp::csr_multiply(c, x, y_ref);
-        gdda::simt::KernelCost kc;
-        sp::spmv_ell(e, x, y_e, &kc);
-        sp::spmv_sliced_ell(s, x, y_s, &kc);
-        EXPECT_GT(kc.flops, 0.0);
-        for (std::size_t i = 0; i < y_ref.size(); ++i) {
-            EXPECT_NEAR(y_e[i], y_ref[i], 1e-10 * (1 + std::abs(y_ref[i])));
-            EXPECT_NEAR(y_s[i], y_ref[i], 1e-10 * (1 + std::abs(y_ref[i])));
-        }
-    }
-}
-
-TEST(Ell, SliceHeightOne) {
-    // Degenerate slicing: exact row lengths, zero padding beyond nnz.
-    const sp::BsrMatrix a = random_spd_bsr(5, 4, 70);
-    const sp::CsrMatrix c = sp::csr_from_bsr_full(a);
-    const sp::SlicedEllMatrix s = sp::sliced_ell_from_csr(c, 1);
-    EXPECT_EQ(s.padded_nnz(), c.nnz());
-}
-
 // ---------------------------------------------------------------------------
 // Row-sorted sliced ELL — the selectable solve-path SpMV backend.
 

@@ -283,10 +283,13 @@ TEST(Snapshot, MalformedInputsRejectedWithTypedCodes) {
     zeroed[8] = '\0';
     EXPECT_EQ(load_error_code(zeroed), SnapshotErrorCode::UnsupportedVersion);
 
-    // Version 1 had a different config layout; never misread it as v2.
-    std::string v1 = good;
-    v1[8] = '\x01';
-    EXPECT_EQ(load_error_code(v1), SnapshotErrorCode::UnsupportedVersion);
+    // Versions 1 and 2 had other config layouts; never misread them as v3.
+    for (const char older : {'\x01', '\x02'}) {
+        std::string old_version = good;
+        old_version[8] = older;
+        EXPECT_EQ(load_error_code(old_version), SnapshotErrorCode::UnsupportedVersion)
+            << "version " << int(older);
+    }
 
     // Truncations at every structural boundary.
     EXPECT_EQ(load_error_code(good.substr(0, 4)), SnapshotErrorCode::Truncated);
@@ -409,7 +412,6 @@ TEST(Snapshot, ConfigFingerprintGatesTrajectoryKnobsOnly) {
     // Observer/identity-contract knobs → same fingerprint (resume allowed
     // even when they changed between runs).
     core::SimConfig observer = base;
-    observer.checkpoint_interval = 17;
     observer.step_threads = 8;
     EXPECT_EQ(state::config_fingerprint(base), state::config_fingerprint(observer));
 

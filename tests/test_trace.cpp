@@ -2,18 +2,24 @@
 // semantics, Chrome trace export/validation/round-trip, the profile
 // aggregator, and — the acceptance criterion — exact agreement between the
 // per-launch kernel events and the engine's own CostLedger accounting, plus
-// structural parity of the loop-span tree between the serial and GPU modes.
+// structural parity of the loop-span tree between the serial and GPU modes,
+// and the per-thread kernel hook and span lanes that keep engines stepping on
+// different threads apart.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "models/slope.hpp"
+#include "models/stacks.hpp"
 #include "obs/record.hpp"
+#include "par/thread_budget.hpp"
 #include "simt/warp_executor.hpp"
 #include "trace/chrome_export.hpp"
 #include "trace/profile.hpp"
@@ -406,4 +412,75 @@ TEST(Trace, ProfileRendersTablesWithoutCrashing) {
     EXPECT_NE(table.find("Name"), std::string::npos);
     EXPECT_NE(tree.find("step"), std::string::npos);
     EXPECT_FALSE(prof.kernels().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Engines on different threads keep independent kernel ledgers
+
+TEST(ConcurrentLedgers, TwoEnginesMatchTheirSoloRuns) {
+    constexpr int kSteps = 100;
+    const auto run_solo = [](int height) {
+        par::ScopedTeamSize one(1);
+        block::BlockSystem sys = models::make_column(height);
+        core::DdaEngine engine(sys, {}, core::EngineMode::Gpu);
+        for (int s = 0; s < kSteps; ++s) engine.step();
+        return engine.ledgers().merged_total();
+    };
+    const simt::KernelCost solo_a = run_solo(5);
+    const simt::KernelCost solo_b = run_solo(8);
+    ASSERT_GT(solo_a.launches, 0);
+    ASSERT_GT(solo_b.launches, 0);
+
+    // Same two workloads, now racing on two threads. With a process-wide
+    // hook slot kernels would be cross-credited between engines; the
+    // per-thread slot must keep each engine's ledger equal to its solo run.
+    simt::KernelCost conc_a, conc_b;
+    std::thread ta([&] { conc_a = run_solo(5); });
+    std::thread tb([&] { conc_b = run_solo(8); });
+    ta.join();
+    tb.join();
+
+    EXPECT_EQ(conc_a.launches, solo_a.launches);
+    EXPECT_EQ(conc_b.launches, solo_b.launches);
+    EXPECT_EQ(conc_a.flops, solo_a.flops);
+    EXPECT_EQ(conc_b.flops, solo_b.flops);
+    EXPECT_EQ(conc_a.bytes_coalesced + conc_a.bytes_texture + conc_a.bytes_random,
+              solo_a.bytes_coalesced + solo_a.bytes_texture + solo_a.bytes_random);
+    EXPECT_EQ(conc_b.bytes_coalesced + conc_b.bytes_texture + conc_b.bytes_random,
+              solo_b.bytes_coalesced + solo_b.bytes_texture + solo_b.bytes_random);
+    // The pair must also differ from each other, or the test proves nothing.
+    EXPECT_NE(solo_a.launches, solo_b.launches);
+}
+
+// ---------------------------------------------------------------------------
+// One tracer shared by two threads keeps per-lane nesting valid
+
+TEST(SharedTracer, TwoThreadsExportStructurallyValidLanes) {
+    trace::Tracer tracer(enabled_cfg(1u << 14));
+
+    const auto worker = [&tracer](const char* outer, const char* inner) {
+        for (int i = 0; i < 200; ++i) {
+            const std::uint32_t o = tracer.begin(trace::Category::Step, outer);
+            const std::uint32_t n = tracer.begin(trace::Category::Solve, inner);
+            tracer.end(n);
+            tracer.end(o);
+        }
+    };
+    std::thread t1(worker, "outer-1", "inner-1");
+    std::thread t2(worker, "outer-2", "inner-2");
+    t1.join();
+    t2.join();
+
+    const std::vector<trace::Event> events = tracer.snapshot();
+    ASSERT_EQ(events.size(), 2u * 200u * 4u);
+    std::set<std::uint32_t> tids;
+    for (const trace::Event& e : events) tids.insert(e.tid);
+    EXPECT_EQ(tids.size(), 2u) << "each thread gets its own lane";
+
+    // The interleaved export must still validate: nesting is checked per
+    // (pid, tid) lane, and with the per-thread span stacks no lane can see
+    // the other lane's begin/end pairs.
+    const obs::JsonValue doc = trace::chrome_trace_document(tracer);
+    const trace::TraceValidation v = trace::validate_trace_document(doc);
+    EXPECT_TRUE(v.ok) << v.error << " (event " << v.bad_event << ")";
 }
