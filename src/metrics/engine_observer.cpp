@@ -144,13 +144,8 @@ void EngineObserver::on_step(const obs::StepRecord& rec, const StepContext& ctx)
     }
 }
 
-bool EngineObserver::dump_postmortem(const std::string& reason, const std::string& error,
-                                     std::uint64_t fingerprint, std::string* path_out,
-                                     std::string* err) {
-    if (cfg_.postmortem_dir.empty()) {
-        if (err) *err = "no postmortem_dir configured";
-        return false;
-    }
+void EngineObserver::dump_postmortem(const std::string& reason, const std::string& error,
+                                     std::uint64_t fingerprint) {
     PostmortemContext ctx;
     ctx.mode = mode_;
     ctx.reason = reason;
@@ -163,13 +158,11 @@ bool EngineObserver::dump_postmortem(const std::string& reason, const std::strin
     ctx.ledger = &ledger_;
     ctx.registry = reg_;
     std::string path;
-    if (!write_postmortem(ctx, cfg_.postmortem_dir, &path, err)) return false;
+    if (!write_postmortem(ctx, cfg_.postmortem_dir, &path)) return;
     postmortem_path_ = path;
     reg_->counter("gdda_postmortems_total", "Post-mortem bundles written",
                   {{"reason", reason}})
         .inc();
-    if (path_out) *path_out = path;
-    return true;
 }
 
 } // namespace gdda::metrics

@@ -72,16 +72,15 @@ public:
     [[nodiscard]] const FlightRecorder& flight_recorder() const { return flight_; }
     [[nodiscard]] const obs::Aggregator& ledger() const { return ledger_; }
 
-    /// Write a post-mortem bundle into cfg.postmortem_dir (no-op returning
-    /// false when the dir is empty). `fingerprint` 0 = state unavailable.
-    bool dump_postmortem(const std::string& reason, const std::string& error,
-                         std::uint64_t fingerprint, std::string* path_out = nullptr,
-                         std::string* err = nullptr);
-
     [[nodiscard]] bool postmortem_written() const { return !postmortem_path_.empty(); }
     [[nodiscard]] const std::string& postmortem_path() const { return postmortem_path_; }
 
 private:
+    /// Write a post-mortem bundle into cfg.postmortem_dir, which the caller
+    /// has checked is set. `fingerprint` 0 = state unavailable.
+    void dump_postmortem(const std::string& reason, const std::string& error,
+                         std::uint64_t fingerprint);
+
     MetricsConfig cfg_;
     std::string mode_;
     obs::JsonValue config_json_ = obs::JsonValue::object();

@@ -7,10 +7,10 @@
 // forwarded to the hook installed on the *calling* thread, giving tracers
 // per-launch visibility that the aggregated CostLedger totals cannot provide.
 //
-// The slot is thread-local so N engines stepping concurrently on N worker
-// threads each capture exactly their own launches; an engine re-installs its tracer's hook at the top of step(), so
-// stepping an engine from a thread other than the one that constructed it
-// still records correctly.
+// The slot is thread-local so N engines stepping concurrently on N threads
+// each capture exactly their own launches; an engine re-installs its
+// tracer's hook at the top of step(), so stepping an engine from a thread
+// other than the one that constructed it still records correctly.
 
 #include <cstddef>
 #include <string_view>

@@ -8,7 +8,8 @@
 // exporters (chrome_export.hpp) and the profile aggregator (profile.hpp)
 // consume chronological snapshots. Span nesting is tracked on a per-thread
 // stack (one lane per emitting thread, stamped into Event::tid), so a tracer
-// shared by several threads yields structurally valid parent/child chains for every lane.
+// shared by several threads yields structurally valid parent/child chains
+// for every lane.
 //
 // Overhead contract: with no tracer attached, a Span construction is one
 // null check; with the tracer attached but the ring disabled-sized, each

@@ -45,8 +45,8 @@ TraceValidation validate_trace_document(const obs::JsonValue& doc) {
 
     double last_ts = -std::numeric_limits<double>::infinity();
     // Span nesting is only meaningful within one (pid, tid) lane: traces
-    // from several threads interleave lanes freely, but each
-    // lane's B/E events must still stack LIFO.
+    // from several threads interleave lanes freely, but each lane's B/E
+    // events must still stack LIFO.
     std::map<std::pair<long long, long long>, std::vector<std::string>> open;
     int index = 0;
     for (const obs::JsonValue& row : trace_events->items()) {
